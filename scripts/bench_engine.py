@@ -24,10 +24,12 @@ Scenario families:
   three trace policies (``full`` / ``rle`` / ``none``), measuring the
   result pipeline itself — worker→parent bytes, cache footprint, warm
   reload, peak worker RSS — rather than the tick engine.
-- *sweep-lockstep*: a 64-variant interactive-governor sweep executed
-  per-run vs as one lockstep cohort through the batched engine
-  (``repro.sim.batchengine``) with witness-certified sweep folding
-  (``repro.runner.sweepfold``), cross-checked for identical scalars.
+- *sweep-lockstep*: folding vs per-run — a 64-variant
+  interactive-governor sweep executed per-run vs as one cohort with
+  witness-certified sweep folding (``repro.runner.sweepfold``),
+  cross-checked for identical scalars.  The scenario and JSON section
+  keep their historical name so the regression gate reads them as
+  before.
 - *sweep-distributed*: the same 64-variant sweep executed through 4
   localhost ``biglittle worker`` TCP subprocesses vs the serial per-run
   runner, cross-checked against the local process-pool backend, plus a
@@ -266,7 +268,7 @@ def bench_batch_transport(quick: bool, sim_seconds: float | None = None):
 
 
 # ---------------------------------------------------------------------------
-# sweep-lockstep scenario: batched lockstep engine vs per-run execution
+# sweep-lockstep scenario: sweep folding vs per-run execution
 # ---------------------------------------------------------------------------
 
 _SWEEP_VARIANTS = 64
@@ -280,11 +282,10 @@ def _sweep_specs(sim_seconds: float):
 
     # A 64-variant interactive-governor sweep of one app: hold_ms
     # (the governor's min_sample_time, explore's ``gov_hold_ms`` axis)
-    # at 2 ms resolution around the 80 ms baseline.  Every variant
-    # shares the workload, chip, and horizon, so the grid forms one
-    # lockstep cohort — and hold_ms is comparison-only, so the sweep
-    # folds onto witness-certified class representatives
-    # (:mod:`repro.runner.sweepfold`) on top of lockstep execution.
+    # at 2 ms resolution around the 80 ms baseline.  The variants differ
+    # only in hold_ms, which is comparison-only, so the grid is one fold
+    # family: it runs as one cohort and folds onto witness-certified
+    # class representatives (:mod:`repro.runner.sweepfold`).
     base = baseline_config()
     specs = []
     for hold in range(34, 34 + 2 * _SWEEP_VARIANTS, 2):
@@ -304,13 +305,14 @@ def _sweep_specs(sim_seconds: float):
 
 
 def bench_sweep_lockstep(quick: bool):
-    """Time a 64-variant sweep per-run vs through one lockstep cohort.
+    """Time a 64-variant sweep per-run vs folded in one cohort.
 
     Both passes use a serial single-worker runner with no cache, so the
-    comparison isolates the batch engine itself: per-run pays the full
-    per-variant tick loop; batched advances all variants in one
-    ``BatchSimulator``.  Scalars are cross-checked so the speedup is
-    only reported for bit-identical results.
+    comparison isolates sweep folding itself: per-run simulates every
+    variant; the folded pass simulates only class representatives and
+    copies their results to the variants their witnesses cover.  The
+    ``batched_*`` keys hold the folded pass.  Scalars are cross-checked
+    so the speedup is only reported for bit-identical results.
     """
     from repro.runner import BatchRunner
 
@@ -357,9 +359,9 @@ def bench_sweep_distributed(quick: bool):
     Workers are spawned as real ``biglittle worker`` subprocesses
     (``--no-cache``, so every execution is a genuine simulation) before
     the clock starts; the serial baseline is the per-run single-worker
-    runner.  The distributed pass ships the sweep as one lockstep
-    cohort — cohorts travel whole, so the speedup is lockstep+folding
-    minus wire overhead, not parallelism.  Results are cross-checked
+    runner.  The distributed pass ships the sweep as one cohort — a fold
+    family travels whole, so the speedup is folding minus wire
+    overhead, not parallelism.  Results are cross-checked
     against the local process-pool backend, and a second, *concurrent
     duplicate* submission of the whole sweep from two runners sharing
     the coordinator checks global dedup: it must add exactly one more
@@ -697,7 +699,7 @@ def main(argv=None) -> int:
           f"{sweep['sim_seconds']:.0f}s sim, serial runner): "
           f"per-run {sweep['per_run_wall_s']:.2f}s "
           f"({sweep['per_run_variants_per_sec']:.1f} var/s), "
-          f"batched {sweep['batched_wall_s']:.2f}s "
+          f"folded {sweep['batched_wall_s']:.2f}s "
           f"({sweep['batched_variants_per_sec']:.1f} var/s), "
           f"speedup {sweep['speedup']:.2f}x, "
           f"mismatches {sweep['scalar_mismatches']}")

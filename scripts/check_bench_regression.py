@@ -20,7 +20,7 @@ any machine:
   shared CI runners are noisy, and the absolute floors already catch
   total collapses.
 
-Plus exact **determinism checks** that hold everywhere: the lockstep
+Plus exact **determinism checks** that hold everywhere: the folded
 sweep must produce zero scalar mismatches, and the lake-query scenario
 must have densified zero traces over >= 200 entries.
 
@@ -54,7 +54,7 @@ SPEEDUP_FLOORS = {
 }
 
 #: Floors for the non-engine scenarios (same same-machine-ratio logic).
-SWEEP_SPEEDUP_FLOOR = 1.5          # lockstep cohort vs per-run (4.3-4.7x observed)
+SWEEP_SPEEDUP_FLOOR = 1.5          # sweep folding vs per-run (4.3-6.7x observed)
 DIST_SPEEDUP_FLOOR = 3.0           # 4 TCP workers vs serial per-run (~5-6x observed)
 TRANSPORT_BYTES_FLOORS = {"rle": 150.0, "none": 1500.0}   # vs full policy
 LAKE_MIN_ENTRIES = 200

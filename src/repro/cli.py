@@ -91,41 +91,22 @@ def _cmd_cprofile(args: argparse.Namespace) -> int:
         FPS_APP_SECONDS if app.metric is Metric.FPS else LATENCY_APP_CAP_SECONDS
     )
 
-    def make_sim(seed: int) -> Simulator:
-        sim = Simulator(SimConfig(
-            chip=exynos5422(screen_on=True),
-            max_seconds=max_seconds,
-            seed=seed,
-            fastpath=not args.reference,
-        ))
-        make_app(args.app).install(sim)
-        return sim
+    sim = Simulator(SimConfig(
+        chip=exynos5422(screen_on=True),
+        max_seconds=max_seconds,
+        seed=args.seed,
+        fastpath=not args.reference,
+    ))
+    app.install(sim)
 
     profiler = cProfile.Profile()
-    if args.batched:
-        from repro.sim.batchengine import BatchSimulator
-
-        sims = [make_sim(args.seed + i) for i in range(args.batched)]
-        profiler.enable()
-        lanes = BatchSimulator(sims).run()
-        profiler.disable()
-        trace = sims[0].trace
-        scalar = sum(lane.scalar_ticks for lane in lanes)
-        vector = sum(lane.vector_ticks for lane in lanes)
-        evicted = sum(1 for lane in lanes if lane.status == "evicted")
-        path = (
-            f"cohort of {len(lanes)}: {scalar} scalar / {vector} vectorized "
-            f"lane-ticks, {evicted} evicted"
-        )
-    else:
-        sim = make_sim(args.seed)
-        profiler.enable()
-        trace = sim.run()
-        profiler.disable()
-        path = "fast-forward disabled" if args.reference else (
-            f"{sim.fastforward_ticks}/{len(trace)} ticks fast-forwarded "
-            f"in {sim.fastforward_spans} spans"
-        )
+    profiler.enable()
+    trace = sim.run()
+    profiler.disable()
+    path = "fast-forward disabled" if args.reference else (
+        f"{sim.fastforward_ticks}/{len(trace)} ticks fast-forwarded "
+        f"in {sim.fastforward_spans} spans"
+    )
 
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(args.top)
@@ -243,7 +224,7 @@ def _make_runner(args: argparse.Namespace, cohorts: bool = False):
         timeout_s=getattr(args, "timeout", None),
         retries=getattr(args, "retries", 1),
         log_path=getattr(args, "log", None),
-        cohorts=cohorts and not getattr(args, "no_batched", False),
+        cohorts=cohorts,
         executor=getattr(args, "executor", None),
     )
 
@@ -520,10 +501,6 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
                         help="disable the on-disk result cache")
     parser.add_argument("--log", metavar="PATH", default=None,
                         help="append structured JSONL progress events to PATH")
-    parser.add_argument("--no-batched", action="store_true",
-                        help="disable lockstep-cohort batching where it is on "
-                             "by default (sweep/explore); results are "
-                             "bit-identical either way")
     parser.add_argument("--executor", metavar="BACKEND", default=None,
                         help="execution backend: 'serial', 'pool', or "
                              "tcp://HOST:PORT to coordinate remote "
@@ -572,11 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also dump raw pstats data to PATH")
     p_cprof.add_argument("--reference", action="store_true",
                          help="pin the reference tick loop (no fast-forward)")
-    p_cprof.add_argument("--batched", type=int, metavar="K", default=0,
-                         help="profile a K-variant lockstep cohort (seeds "
-                              "seed..seed+K-1) in the batched engine instead "
-                              "of one reference run, attributing remaining "
-                              "scalar-loop time inside the batched core")
     p_cprof.set_defaults(func=_cmd_cprofile)
 
     p_obs = sub.add_parser(

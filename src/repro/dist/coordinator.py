@@ -9,7 +9,7 @@ job, ships it, and waits for the result while watching heartbeats and
 the job's deadline.
 
 The unit of distribution is the runner's execution group — a single
-spec or a whole lockstep cohort.  Cohorts deliberately travel whole:
+spec or a whole cohort (one fold family).  Cohorts deliberately travel whole:
 splitting a fold family across workers forfeits the witness-certified
 sweep folding that makes cohorts fast (measured: a 64-variant fold
 sweep runs ~5.7× faster as one cohort than as four 16-spec shards).

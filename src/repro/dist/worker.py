@@ -2,8 +2,8 @@
 
 A worker dials the coordinator, introduces itself (id + package
 version), and then serves jobs until told ``bye`` or the connection
-drops: decode the wire specs, execute them — a whole lockstep cohort
-through :func:`repro.runner.cohort.execute_cohort`, a single spec
+drops: decode the wire specs, execute them — a whole cohort (one fold
+family) through :func:`repro.runner.cohort.execute_cohort`, a single spec
 through :func:`repro.runner.spec.execute_spec` — under the same
 ``SIGALRM`` budget the local backends use, and ship the slim results
 back (scalars + RLE blobs).

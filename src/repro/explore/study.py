@@ -240,8 +240,8 @@ class ExploreStudy:
             raise ValueError(f"full_horizon_s must be positive, got {full_horizon_s}")
         self.space = space
         self.sampler = sampler
-        # Default runner batches compatible points into lockstep cohorts
-        # (bit-identical results; REPRO_ENGINE_BATCHED=0 pins per-run).
+        # Default runner groups fold families, so governor sweeps fold
+        # (bit-identical results to per-run execution).
         self.runner = (
             runner if runner is not None else BatchRunner(workers=1, cohorts=True)
         )

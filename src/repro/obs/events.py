@@ -192,35 +192,6 @@ class ClusterSwitched:
     tick: int = -1
 
 
-@dataclass(slots=True)
-class BatchCohortFormed:
-    """A batched lockstep cohort admitted this run as one of ``size`` lanes."""
-
-    kind: ClassVar[str] = "batch_cohort_formed"
-    size: int
-    lane: int = -1
-    tick: int = -1
-
-
-@dataclass(slots=True)
-class BatchCohortEvicted:
-    """This run left its cohort and finished on the reference simulator."""
-
-    kind: ClassVar[str] = "batch_cohort_evicted"
-    cause: str
-    lane: int = -1
-    tick: int = -1
-
-
-@dataclass(slots=True)
-class BatchCohortRetired:
-    """This run completed inside the batched lockstep engine."""
-
-    kind: ClassVar[str] = "batch_cohort_retired"
-    lane: int = -1
-    tick: int = -1
-
-
 ObsEvent = (
     TaskSpawned
     | TaskBlocked
@@ -233,9 +204,6 @@ ObsEvent = (
     | BusyFastForward
     | ThermalCap
     | ClusterSwitched
-    | BatchCohortFormed
-    | BatchCohortEvicted
-    | BatchCohortRetired
 )
 
 #: Every concrete event class, for exporters and the overhead stub.
@@ -251,9 +219,6 @@ EVENT_TYPES: tuple[type, ...] = (
     BusyFastForward,
     ThermalCap,
     ClusterSwitched,
-    BatchCohortFormed,
-    BatchCohortEvicted,
-    BatchCohortRetired,
 )
 
 

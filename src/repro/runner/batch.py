@@ -31,12 +31,14 @@ Fault tolerance (identical across backends):
   as ``failed``/``timeout`` in the :class:`BatchReport` — one bad job
   never aborts the batch.
 
-Lockstep cohorts (``cohorts=True``): compatible specs — same workload,
-chip, core config, and horizon — are grouped and advanced together by
-one :class:`repro.sim.batchengine.BatchSimulator` per group.  A cohort
-is also the unit an executor receives (one pool job / one distributed
-job per cohort), because splitting a fold family forfeits the sweep
-folding that makes cohorts fast.  Results, ``BatchReport.jobs`` order
+Cohorts (``cohorts=True``): specs that differ only in the two
+comparison-only governor axes — a fold family, see
+:mod:`repro.runner.sweepfold` — are grouped into one cohort, which runs
+witness-certified sweep folding (:mod:`repro.runner.cohort`); every
+other spec stays a group of its own.  A cohort is the unit an executor
+receives (one pool job / one distributed job per cohort), because
+splitting a fold family forfeits the folding that makes cohorts
+fast.  Results, ``BatchReport.jobs`` order
 and labels, and cache entries are identical to per-run execution; any
 cohort failure falls back to per-run execution of its members with
 their retry budgets intact.
@@ -242,13 +244,11 @@ class BatchRunner:
             recorded as failed.
         on_event: callback receiving every :class:`RunnerEvent`.
         log_path: append structured events to this JSONL file.
-        cohorts: group compatible specs (same workload/chip/cores/
-            horizon — see :func:`repro.runner.cohort.cohort_key`) into
-            lockstep :class:`~repro.sim.batchengine.BatchSimulator`
-            cohorts.  Results, report order, and cache entries are
-            identical to per-run execution; a failing cohort falls back
-            to per-run for its members.  ``REPRO_ENGINE_BATCHED=0``
-            disables grouping regardless of this flag.
+        cohorts: group each fold family (see
+            :func:`repro.runner.cohort.group_indices`) into one cohort
+            job that folds governor sweeps.  Results, report order, and
+            cache entries are identical to per-run execution; a failing
+            cohort falls back to per-run for its members.
         executor: execution backend override — an
             :class:`~repro.runner.executors.Executor` instance (shared;
             the runner will not close it), ``"serial"``, ``"pool"``, or
@@ -388,20 +388,12 @@ class BatchRunner:
     ) -> list[list[_Job]]:
         """Partition pending jobs into execution groups.
 
-        Singleton groups everywhere unless cohort mode is on (and not
-        pinned off via ``REPRO_ENGINE_BATCHED``, and the executor can
-        take whole cohorts); grouping preserves submit order within
-        each cohort, and records/results stay keyed by the original
-        spec index either way.
+        Singleton groups everywhere unless cohort mode is on and the
+        executor can take whole cohorts; then each fold family is one
+        group.  Grouping preserves submit order within each cohort, and
+        records/results stay keyed by the original spec index either way.
         """
-        from repro.sim.batchengine import batching_enabled
-
-        if not (
-            self.cohorts
-            and batching_enabled()
-            and executor.supports_cohorts
-            and len(pending) > 1
-        ):
+        if not (self.cohorts and executor.supports_cohorts and len(pending) > 1):
             return [[job] for job in pending]
         from repro.runner.cohort import group_indices
 

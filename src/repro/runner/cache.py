@@ -82,6 +82,27 @@ def _dir_nbytes(path: str) -> int:
     return total
 
 
+def _publish(tmp: str, entry: str, attempts: int = 3) -> bool:
+    """Rename the finished ``tmp`` dir onto ``entry``.
+
+    Returns False when a concurrent writer's entry occupies the path
+    (directory-over-directory rename fails with ENOTEMPTY).  When the
+    rename fails but no entry is left — a third writer's ``rmtree``
+    removed the winner's entry before this check — the path is free
+    again and the rename is retried.
+    """
+    for attempt in range(attempts):
+        try:
+            os.replace(tmp, entry)
+            return True
+        except OSError:
+            if os.path.isdir(entry):
+                return False
+            if attempt == attempts - 1:
+                raise
+    return False
+
+
 @dataclass
 class CacheStats:
     """One cache instance's traffic counters."""
@@ -218,16 +239,11 @@ class ResultCache:
             written = _dir_nbytes(tmp)
             if os.path.isdir(entry):
                 shutil.rmtree(entry, ignore_errors=True)
-            try:
-                os.replace(tmp, entry)
-            except OSError:
+            if not _publish(tmp, entry):
                 # Concurrent writer: another process published this entry
-                # between our rmtree and replace (directory-over-directory
-                # rename fails with ENOTEMPTY).  Both writers hold results
-                # for the same spec key, so losing the race is benign —
-                # keep theirs, discard ours.
-                if not os.path.isdir(entry):
-                    raise
+                # between our rmtree and replace.  Both writers hold
+                # results for the same spec key, so losing the race is
+                # benign — keep theirs, discard ours.
                 shutil.rmtree(tmp, ignore_errors=True)
                 self.stats.store_races += 1
                 global_metrics().counter("cache.store_races").inc()

@@ -1,28 +1,24 @@
-"""Lockstep-cohort execution of compatible :class:`RunSpec` groups.
+"""Fold-family execution of grouped :class:`RunSpec` jobs.
 
-The :class:`~repro.runner.batch.BatchRunner` hands this module groups of
-specs that describe the *same simulation shape* — one workload, chip,
-core configuration, and horizon — differing only in scheduler/governor
-parameters, seeds, or observation.  Each group is prepared with
-:func:`repro.runner.spec.prepare_app_run`, advanced together by one
-:class:`repro.sim.batchengine.BatchSimulator`, and finished through the
-exact per-spec tail (:func:`finish_app_run` + :func:`finalize_result`)
-a solo run would have used, so results — and therefore cache entries —
-stay per-spec and bit-identical to per-run execution.
-
-Grouping is conservative: only the built-in ``"app"`` kind is
-understood, and the implicit compatibility key covers everything that
-changes the simulation's array shapes or wall-clock horizon.  An
-explicit :attr:`RunSpec.batch_group` further partitions groups without
-ever widening them.
+With ``cohorts=True`` the :class:`~repro.runner.batch.BatchRunner` hands
+this module *fold families*: specs identical except for the two
+comparison-only governor axes (``down_threshold`` / ``hold_ms``, see
+:mod:`repro.runner.sweepfold`).  Representatives run one at a time on
+the solo :class:`~repro.sim.engine.Simulator` with a witness attached —
+:func:`repro.runner.spec.prepare_app_run`, ``sim.run()``, then the exact
+per-spec tail (:func:`finish_app_run` + :func:`finalize_result`) a solo
+run uses — and every member a witness interval covers receives a copy
+of its representative's result instead of a simulation.  Results, and
+therefore cache entries, stay per-spec and bit-identical to per-run
+execution.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Optional, Sequence
 
+from repro.obs.metrics import global_metrics
+from repro.runner import sweepfold
 from repro.runner.spec import (
     RunResult,
     RunSpec,
@@ -31,62 +27,25 @@ from repro.runner.spec import (
     prepare_app_run,
 )
 
-#: Largest cohort one ``BatchSimulator`` hosts; bigger groups are
-#: chunked.  Bounds the ``(K, nslots)`` working set and keeps a single
-#: slow lane from serializing too many variants behind it.
-COHORT_MAX = 64
-
-
-def cohort_key(spec: RunSpec) -> Optional[str]:
-    """Compatibility key for lockstep grouping, or ``None`` if ineligible.
-
-    Specs sharing a key may run in one cohort: the key pins everything
-    that shapes the batch arrays (workload task/core counts, chip,
-    enabled cores) and the horizon, while scheduler parameters, seeds,
-    and observation — the things sweeps vary — are free to differ.
-    Per-lane ineligibility (hooks, exotic governors) is *not* checked
-    here; the ``BatchSimulator`` admission step evicts those lanes onto
-    the reference path at zero correctness cost.
-    """
-    if spec.kind != "app":
-        return None
-    chip = spec.chip if isinstance(spec.chip, str) else f"inline:{_chip_hash(spec)}"
-    parts = {
-        "workload": spec.workload,
-        "chip": chip,
-        "core_config": spec.core_config,
-        "max_seconds": spec.max_seconds,
-        "batch_group": spec.batch_group,
-    }
-    return json.dumps(parts, sort_keys=True)
-
-
-def _chip_hash(spec: RunSpec) -> str:
-    """Short content hash of an inline chip (registry ids hash as names)."""
-    from repro.experiments.serialize import to_jsonable
-
-    payload = json.dumps(to_jsonable(spec.chip), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
 
 def group_indices(specs: Sequence[RunSpec]) -> list[list[int]]:
-    """Partition spec indices into cohort groups (singletons included).
+    """Partition spec indices into execution groups (singletons included).
 
-    Groups keep first-appearance order and each group lists its member
-    indices in submit order; chunks never exceed :data:`COHORT_MAX`.
+    Each fold family (:func:`repro.runner.sweepfold.fold_key`) becomes
+    one group; a spec with no fold key is a group of its own.  Groups
+    keep first-appearance order and list member indices in submit order.
     """
     by_key: dict[str, list[int]] = {}
     order: list[list[int]] = []
     for i, spec in enumerate(specs):
-        key = cohort_key(spec)
+        key = sweepfold.fold_key(spec)
         if key is None:
             order.append([i])
-            continue
-        bucket = by_key.get(key)
-        if bucket is None or len(bucket) >= COHORT_MAX:
-            bucket = by_key[key] = []
-            order.append(bucket)
-        bucket.append(i)
+        elif key in by_key:
+            by_key[key].append(i)
+        else:
+            by_key[key] = [i]
+            order.append(by_key[key])
     return order
 
 
@@ -98,69 +57,55 @@ def group_indices(specs: Sequence[RunSpec]) -> list[list[int]]:
 FOLD_ROUND_REPS = 8
 
 
+def _run_one(spec: RunSpec, in_pool: bool, fold: bool):
+    """Simulate one spec to completion; returns ``(result, witness)``.
+
+    Each run is finalized before the next is prepared, so at most one
+    dense trace is being built at a time.
+    """
+    prepared = prepare_app_run(spec)
+    witness = sweepfold.install_witness(prepared.sim) if fold else None
+    prepared.sim.run()
+    result = finalize_result(spec, finish_app_run(prepared), in_pool=in_pool)
+    return result, witness
+
+
 def execute_cohort(specs: Sequence[RunSpec], in_pool: bool = False) -> list[RunResult]:
-    """Run one group of compatible specs in a lockstep cohort.
+    """Run one group of specs, folding what fold families allow.
 
     Returns one :class:`RunResult` per spec, in input order, each
     identical to what :func:`repro.runner.spec.execute_spec` would have
-    produced.  Degenerate one-spec groups still go through the batch
-    engine: admission/eviction makes that equivalent to a solo run.
+    produced.
 
     Specs identical except for the two comparison-only governor axes
-    (``down_threshold`` / ``hold_ms``) form *fold families* (see
-    :mod:`repro.runner.sweepfold`): representatives run with a witness
-    attached, and every family member a witness interval provably
-    covers receives a copy of its representative's result instead of a
-    simulation.  Uncovered members become the next round's
-    representatives, so the loop retires at least one member per family
-    per round and the worst case degrades to simulating everything.
+    form *fold families* (see :mod:`repro.runner.sweepfold`):
+    representatives run with a witness attached, and every family
+    member a witness interval provably covers receives a copy of its
+    representative's result instead of a simulation.  Uncovered members
+    become the next round's representatives, so the loop retires at
+    least one member per family per round and the worst case degrades
+    to simulating everything.  Specs outside any family run once each.
     """
-    from repro.obs.metrics import global_metrics
-    from repro.runner import sweepfold
-    from repro.sim.batchengine import BatchSimulator
-
     metrics = global_metrics()
     results: list[Optional[RunResult]] = [None] * len(specs)
 
-    # Partition into fold families (two or more members) and singles.
-    families: dict[str, list[int]] = {}
-    singles: list[int] = []
-    for i, spec in enumerate(specs):
-        key = sweepfold.fold_key(spec)
-        if key is None:
-            singles.append(i)
+    unresolved: dict[str, list[int]] = {}
+    for group in group_indices(specs):
+        if len(group) < 2:
+            (i,) = group
+            results[i], _ = _run_one(specs[i], in_pool, fold=False)
         else:
-            families.setdefault(key, []).append(i)
-    for key, members in list(families.items()):
-        if len(members) < 2:
-            singles.extend(members)
-            del families[key]
+            unresolved[sweepfold.fold_key(specs[group[0]])] = group
 
-    unresolved = {key: list(members) for key, members in families.items()}
-    first_round = True
-    while True:
-        round_idx: list[int] = list(singles) if first_round else []
+    while unresolved:
         rep_family: dict[int, str] = {}
         for key, members in unresolved.items():
             pairs = [(i, sweepfold.swept_values(specs[i])) for i in members]
             for i in sweepfold.pick_spread(pairs, FOLD_ROUND_REPS):
                 rep_family[i] = key
-                round_idx.append(i)
-        if not round_idx:
-            break
-        first_round = False
-
-        prepared = {i: prepare_app_run(specs[i]) for i in round_idx}
-        witnesses = {
-            i: sweepfold.install_witness(prepared[i].sim) for i in rep_family
-        }
-        BatchSimulator(
-            [prepared[i].sim for i in round_idx], metrics=global_metrics()
-        ).run()
-        for i in round_idx:
-            results[i] = finalize_result(
-                specs[i], finish_app_run(prepared[i]), in_pool=in_pool
-            )
+        witnesses = {}
+        for i in rep_family:
+            results[i], witnesses[i] = _run_one(specs[i], in_pool, fold=True)
 
         # Fold: each representative's witness interval resolves every
         # still-unresolved family member it covers.
@@ -168,24 +113,20 @@ def execute_cohort(specs: Sequence[RunSpec], in_pool: bool = False) -> list[RunR
             unresolved[key].remove(i)
         folded = 0
         for i, key in rep_family.items():
-            witness = witnesses.get(i)
+            witness = witnesses[i]
             if witness is None:
                 continue
             members = unresolved[key]
             covered = [
                 j
                 for j in members
-                if j not in rep_family
-                and witness.covers(*sweepfold.swept_values(specs[j]))
+                if witness.covers(*sweepfold.swept_values(specs[j]))
             ]
             for j in covered:
                 results[j] = sweepfold.clone_result(results[i], specs[j])
                 members.remove(j)
             folded += len(covered)
-        if rep_family:
-            metrics.counter("engine.batch.fold.representatives").inc(
-                len(rep_family)
-            )
+        metrics.counter("engine.batch.fold.representatives").inc(len(rep_family))
         if folded:
             metrics.counter("engine.batch.fold.folded").inc(folded)
         unresolved = {k: v for k, v in unresolved.items() if v}

@@ -8,13 +8,12 @@ in :class:`~repro.runner.batch.BatchRunner` also runs distributed
 sweeps through :class:`repro.dist.DistExecutor` without knowing it.
 
 A *group* is what the runner hands an executor in one ``submit`` call:
-either a single :class:`~repro.runner.spec.RunSpec` or a whole lockstep
-cohort (compatible specs advanced together by one
-:class:`~repro.sim.batchengine.BatchSimulator`).  Cohorts are the unit
-of distribution on purpose: splitting a fold family across executors
-forfeits the witness-certified sweep folding that makes cohorts fast,
-so an executor always receives — and a remote worker always executes —
-the whole group.
+either a single :class:`~repro.runner.spec.RunSpec` or a whole cohort
+(one fold family, see :mod:`repro.runner.cohort`).  Cohorts are the
+unit of distribution on purpose: splitting a fold family across
+executors forfeits the witness-certified sweep folding that makes
+cohorts fast, so an executor always receives — and a remote worker
+always executes — the whole group.
 
 Executor contract:
 
@@ -116,7 +115,7 @@ def _execute_job(
 def _execute_cohort_job(
     specs: list[RunSpec], timeout_s: Optional[float], in_pool: bool = False
 ) -> list[RunResult]:
-    """Execute one lockstep cohort, budgeted at ``timeout_s`` per member.
+    """Execute one cohort (fold family), budgeted at ``timeout_s`` per member.
 
     The cohort does the work of ``len(specs)`` jobs in one process, so
     its wall-clock budget scales with its size; on timeout (or any

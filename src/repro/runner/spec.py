@@ -159,13 +159,6 @@ class RunSpec:
             scalars/reductions should declare ``"none"`` (nothing but a
             few hundred bytes crosses the pool); ``"rle"`` keeps the
             trace addressable at run-length cost.
-        batch_group: explicit lockstep-cohort partition key.  Specs are
-            only co-scheduled in one :class:`repro.sim.batchengine.
-            BatchSimulator` cohort when their implicit compatibility key
-            *and* this value match; ``None`` (default) lets compatible
-            specs group freely.  Results are bit-identical either way —
-            the key only controls co-execution, so it is *not* part of
-            the cache identity (see :meth:`manifest`).
     """
 
     workload: str
@@ -178,7 +171,6 @@ class RunSpec:
     observe: bool = False
     reductions: tuple[str, ...] = ()
     trace_policy: str = "full"
-    batch_group: Optional[str] = None
 
     def __post_init__(self):
         if self.trace_policy not in TRACE_POLICIES:
@@ -216,8 +208,6 @@ class RunSpec:
             manifest["reductions"] = list(self.reductions)
         if self.trace_policy != "full":
             manifest["trace_policy"] = self.trace_policy
-        # batch_group is deliberately absent: lockstep co-execution is
-        # bit-exact, so grouping must not fragment the result cache.
         return manifest
 
     def key(self) -> str:
@@ -282,7 +272,6 @@ def spec_to_wire(spec: RunSpec) -> dict[str, Any]:
         "observe": spec.observe,
         "reductions": list(spec.reductions),
         "trace_policy": spec.trace_policy,
-        "batch_group": spec.batch_group,
     }
 
 
@@ -308,7 +297,6 @@ def spec_from_wire(data: dict[str, Any]) -> RunSpec:
         observe=data["observe"],
         reductions=tuple(data["reductions"]),
         trace_policy=data["trace_policy"],
-        batch_group=data["batch_group"],
     )
 
 
@@ -416,10 +404,9 @@ class PreparedAppRun:
     """An installed-but-unrun app simulation (the first half of a run).
 
     Splitting :func:`_run_app_kind` at the ``sim.run()`` call lets the
-    lockstep cohort executor (:mod:`repro.runner.cohort`) prepare many
-    compatible specs, advance their simulators together in one
-    :class:`repro.sim.batchengine.BatchSimulator`, and then finish each
-    one exactly as a solo run would have.
+    fold-family executor (:mod:`repro.runner.cohort`) attach a sweep
+    witness to a representative's simulator before it runs, and then
+    finish the run exactly as a solo run would have.
     """
 
     spec: RunSpec

@@ -11,9 +11,9 @@ The interactive governor has exactly two such parameters:
 - ``GovernorParams.hold_ms`` is read only at the
   ``ticks_since_raise < hold_ms`` test guarded by the former.
 
-Every frequency decision in both engines flows through that one
-function (the per-tick window close, the idle/busy fast-forward
-replays, and the batch engine's object-side governor tick), so a
+Every frequency decision of the engine flows through that one
+function (the per-tick window close and the idle/busy fast-forward
+replays), so a
 :class:`SweepWitness` attached there sees *every* read of the two
 parameters a run performs.  The witness maintains the interval of
 alternative parameter values that would have resolved every observed
@@ -23,7 +23,7 @@ reductions — its result can be *copied* instead of simulated.
 
 :func:`repro.runner.cohort.execute_cohort` uses this to collapse
 governor sweeps: specs identical modulo the two axes form a *fold
-family*; representatives run (in lockstep cohorts), and each witness
+family*; representatives run on the solo engine, and each witness
 interval resolves every family member it covers for free.  Busy-span
 dry-run probes also report comparisons, which can only over-constrain
 the interval — folding degrades toward running more representatives,

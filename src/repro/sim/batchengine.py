@@ -1,1286 +1,14 @@
-"""Batched lockstep simulation: one vectorized engine advancing N variants.
+"""Placeholder for a name the repository benchmark's tracer resolves.
 
-``BatchSimulator`` advances a cohort of K independent :class:`Simulator`
-instances ("lanes") together.  The hot per-tick state — task
-remaining-work, load EWMAs, per-core window accumulation, governor
-counters — lives in ``(K, nslots)`` / ``(K, ncores)`` numpy arrays, and
-on ticks where a lane follows its *steady pattern* (every runnable task
-consumes one constant processor-sharing slice, the scheduler pass is a
-certified no-op, governors only count) the whole cohort advances with a
-handful of elementwise array ops instead of K interpreter tick loops.
-
-Bit-exactness is the contract, proven by golden-trace equality against
-the reference ``Simulator`` (``tests/test_batchengine.py``).  It holds
-because:
-
-* the vectorized updates are the *same* float64 elementwise operations
-  the reference scalar loop performs, merely batched
-  (``W -= share*tput``, ``v = d*v + (1-d)*sample``, window sums);
-* any tick on which a lane deviates from its steady pattern — a sleeper
-  or channel wake-up, a task exhausting its work, a load EWMA crossing
-  an HMP migration threshold, a governor window closing, an input boost
-  changing a frequency mid-tick — is detected and the deviating stage
-  runs on the lane's real objects, in reference order, with arrays
-  synced in and out around the call;
-* the trace is backfilled in piecewise-constant ``record_block``
-  segments with every float computed exactly as ``_record_tick`` would
-  (the pattern the busy fast-forward already proved out).
-
-Lanes whose configuration the kernel cannot host (thermal/GPU models,
-tick hooks, non-HMP schedulers, governors without the
-interactive/pinned structure) — or that diverge for good, or are
-explicitly forced out — are **evicted**: their arrays are synced back
-to the objects and they finish on ``Simulator.run()``, which is
-trivially bit-exact.  Every lane therefore ends either *retired*
-(finished in the kernel) or *evicted* (finished on the reference path),
-never half-way.
+``bench/trace.py`` wraps ``BatchSimulator.run``; nothing in ``repro``
+calls it.  It runs its simulators in order on the solo engine.  A
+benchmark-only change removes this module together with that target.
 """
-
-from __future__ import annotations
-
-import math
-import os
-from typing import TYPE_CHECKING, Optional
-
-import numpy as np
-
-from repro.obs.events import (
-    BatchCohortEvicted,
-    BatchCohortFormed,
-    BatchCohortRetired,
-)
-from repro.platform.coretypes import CoreType
-from repro.platform.perfmodel import cached_throughput
-from repro.platform.power import DeferredPowerPipeline
-from repro.sched.governor import InteractiveGovernor, PinnedGovernor
-from repro.sched.hmp import HMPScheduler
-from repro.sim.task import TaskState
-from repro.units import LOAD_SCALE
-
-if TYPE_CHECKING:
-    from repro.sim.engine import Simulator
-
-_INF_TICK = 2**62
-#: Consecutive ticks a lane may spend with an invalid HMP guard (scalar
-#: scheduler passes every tick) before it is evicted as diverged.
-_MAX_GUARD_INVALID_STREAK = 256
-
-#: Eviction causes, used in obs events and ``engine.batch.*`` metrics.
-CAUSE_THERMAL_GPU_HOOKS = "fastpath-ineligible"
-CAUSE_SCHEDULER = "scheduler-unsupported"
-CAUSE_GOVERNOR = "governor-unsupported"
-CAUSE_CONFIG = "batching-disabled"
-CAUSE_FORCED = "forced"
-CAUSE_DIVERGED = "hmp-diverged"
-
-
-def batching_enabled(default: bool = True) -> bool:
-    """The ``REPRO_ENGINE_BATCHED`` pin: ``0`` forces per-run, ``1`` forces on."""
-    env = os.environ.get("REPRO_ENGINE_BATCHED", "").strip().lower()
-    if env in ("0", "false", "off", "no"):
-        return False
-    if env in ("1", "true", "on", "yes"):
-        return True
-    return default
-
-
-def admission_cause(sim: "Simulator") -> Optional[str]:
-    """Why ``sim`` cannot join a cohort, or ``None`` if it can."""
-    if not getattr(sim.config, "batched", True):
-        return CAUSE_CONFIG
-    if not sim.fastpath_enabled or sim._tick_hooks:
-        return CAUSE_THERMAL_GPU_HOOKS
-    if type(sim.hmp) is not HMPScheduler:
-        return CAUSE_SCHEDULER
-    for governor in sim.governors.values():
-        if type(governor) is InteractiveGovernor:
-            continue
-        if (
-            isinstance(governor, PinnedGovernor)
-            and type(governor).tick is PinnedGovernor.tick
-        ):
-            continue
-        return CAUSE_GOVERNOR
-    return None
-
-
-class _Lane:
-    """Per-variant bookkeeping around one reference :class:`Simulator`."""
-
-    __slots__ = (
-        "sim", "index", "status", "cause", "tasks", "slot_core", "slot_of",
-        "gov_items", "f_little", "f_big", "cluster_powers",
-        "seg_start", "busy_frac", "busy_tick", "act_factor", "busy_ids",
-        "contention", "guard_streak", "scalar_ticks", "vector_ticks",
-        "row_pow", "rq_nr", "little_ids", "big_ids", "boost_capable",
-        "dpow",
-    )
-
-    def __init__(self, sim: "Simulator", index: int):
-        self.sim = sim
-        self.index = index
-        self.status = "active"      # active | retired | evicted
-        self.cause: Optional[str] = None
-        self.tasks = list(sim.tasks)
-        # The task set is frozen at admission (the wake/exec stages
-        # would KeyError on an unknown task), so the id->slot map can be
-        # built once instead of per event.
-        self.slot_of = {id(task): s for s, task in enumerate(self.tasks)}
-        self.slot_core: list[int] = [-1] * len(self.tasks)
-        #: Memo of full row power computations: interactive traces repeat
-        #: a small set of (freqs, busy, activity, deep) states endlessly.
-        self.row_pow: dict[tuple, tuple[float, float, float]] = {}
-        # (core_type, governor, domain) in reference iteration order.
-        self.gov_items = [
-            (ct, gov, sim.domains[ct]) for ct, gov in sim.governors.items()
-        ]
-        self.f_little = sim.domains[CoreType.LITTLE].freq_khz
-        self.f_big = sim.domains[CoreType.BIG].freq_khz
-        pm = sim._pm
-        self.cluster_powers = [
-            pm.cluster_power_mw(ct, any(c.enabled for c in sim.domains[ct].cores))
-            for ct in (CoreType.LITTLE, CoreType.BIG)
-        ]
-        self.seg_start = sim.tick
-        ncores = len(sim.cores)
-        self.busy_frac = [0.0] * ncores
-        self.busy_tick = [0.0] * ncores
-        self.act_factor = [1.0] * ncores
-        self.busy_ids: set[int] = set()
-        self.contention = 1.0
-        self.guard_streak = 0
-        self.scalar_ticks = 0
-        self.vector_ticks = 0
-        #: Per-core runnable counts, maintained by the rebuild scan so the
-        #: HMP guard can be re-derived without touching the core objects.
-        self.rq_nr = [0] * ncores
-        self.little_ids = [c.core_id for c in getattr(sim.hmp, "little_cores", ())]
-        self.big_ids = [c.core_id for c in getattr(sim.hmp, "big_cores", ())]
-        #: Whether a wake/exec can mutate governor counters behind the
-        #: arrays' back (``notify_input`` arms the boost object-side).
-        #: Boost-capable lanes sync counters to objects *before* wakes
-        #: and execution so the objects stay the single source of truth
-        #: for the whole tick.
-        self.boost_capable = any(
-            type(gov) is InteractiveGovernor and gov.params.input_boost_ms > 0
-            for _ct, gov, _dom in self.gov_items
-        )
-        #: Deferred power pipeline for event rows (set at admission when
-        #: the sim allows deferred power); block rows keep the memoized
-        #: scalar path, which they nearly always hit.
-        self.dpow: Optional[DeferredPowerPipeline] = None
 
 
 class BatchSimulator:
-    """Advance K app simulations in lockstep over a shared numpy batch axis.
+    def __init__(self, sims, metrics=None):
+        self.sims = list(sims)
 
-    ``sims`` must be fully constructed (apps installed) and not yet run.
-    :meth:`run` drives every lane to completion — in-kernel or, after
-    eviction, on the reference path — and returns the lanes so callers
-    can inspect ``status``/``cause`` per variant.
-
-    ``force_evict_at`` maps lane index -> tick at which that lane is
-    evicted regardless of eligibility (test hook and safety valve: any
-    tick boundary is a correct eviction point).
-    """
-
-    def __init__(
-        self,
-        sims: list["Simulator"],
-        force_evict_at: Optional[dict[int, int]] = None,
-        metrics=None,
-    ):
-        if not sims:
-            raise ValueError("cohort must contain at least one simulator")
-        self.lanes = [_Lane(sim, i) for i, sim in enumerate(sims)]
-        self.force_evict_at = dict(force_evict_at or {})
-        self.metrics = metrics
-        self._row_cache: dict[int, tuple[list[float], list[float]]] = {}
-        K = len(sims)
-        S = max(1, max(len(lane.tasks) for lane in self.lanes))
-        C = max(len(lane.sim.cores) for lane in self.lanes)
-        self._nslots, self._ncores = S, C
-
-        f64, i64 = np.float64, np.int64
-        # Per-slot (task) state.
-        self.W = np.full((K, S), 1e300)      # remaining work units
-        self.V = np.zeros((K, S))            # load EWMA value
-        self.TB = np.zeros((K, S))           # total busy seconds
-        self.DEC = np.zeros((K, S))          # share * throughput per tick
-        self.SHARE = np.zeros((K, S))        # per-tick PS slice seconds
-        self.TPUT = np.ones((K, S))          # units per second
-        self.CONTRIB = np.zeros((K, S))      # (1-d) * load sample
-        self.RF = np.zeros((K, S))           # runnable fraction of the sample
-        self.D = np.zeros((K, S))            # EWMA decay per tick
-        self.ACTIVE = np.zeros((K, S), bool)
-        self.IS_LITTLE = np.zeros((K, S), bool)
-        # Per-core state.
-        self.BW = np.zeros((K, C))           # busy_in_window_s
-        self.BUSYADD = np.zeros((K, C))      # per-tick window increment
-        self.IDLE = np.zeros((K, C), i64)    # idle_ticks (post-tick values)
-        self.IDLEMASK = np.zeros((K, C), bool)
-        self.BUSYMASK = np.zeros((K, C), bool)
-        # Per-domain (reference governor order) counters.
-        self.WT = np.zeros((K, 2), i64)      # _window_ticks
-        self.TSR = np.zeros((K, 2), i64)     # _ticks_since_raise
-        self.BO = np.zeros((K, 2), i64)      # _boost_ticks_left
-        self.SAMP = np.full((K, 2), _INF_TICK, dtype=i64)
-        # Per-lane state.
-        self.TICKS = np.zeros(K, dtype=i64)
-        self.MAXT = np.zeros(K, dtype=i64)
-        self.NEXT_WAKE = np.full(K, _INF_TICK, dtype=i64)
-        self.NEXT_DEEP = np.full(K, _INF_TICK, dtype=i64)
-        self.NEXT_RECALC = np.full(K, _INF_TICK, dtype=i64)
-        self.LIVE = np.zeros(K, bool)
-        self.GUARD_OK = np.zeros(K, bool)
-        self.UP_POSS = np.zeros(K, bool)
-        self.DOWN_POSS = np.zeros(K, bool)
-        self.UP_TH = np.zeros(K, dtype=f64)
-        self.DOWN_TH = np.zeros(K, dtype=f64)
-        self.BCP = np.zeros(K, dtype=i64)    # busy count of the previous row
-        self.VECT = np.zeros(K, dtype=i64)   # lane-ticks advanced vectorized
-
-        for lane in self.lanes:
-            sim = lane.sim
-            k = lane.index
-            self.TICKS[k] = sim.tick
-            self.MAXT[k] = sim.max_ticks
-            self.BCP[k] = sim._busy_cores_prev
-            cause = admission_cause(sim)
-            if cause is not None:
-                self._evict(lane, cause, flush=False)
-                continue
-            self.LIVE[k] = True
-            if sim.deferred_power_enabled:
-                lane.dpow = DeferredPowerPipeline(
-                    sim._pm,
-                    sim.trace,
-                    [c.core_type for c in sim.cores],
-                    [c.enabled for c in sim.cores],
-                    {ct: dom.opp_table for ct, dom in sim.domains.items()},
-                )
-            for d, (_ct, gov, _dom) in enumerate(lane.gov_items):
-                if type(gov) is InteractiveGovernor:
-                    self.SAMP[k, d] = gov._sampling_ticks
-                    self.WT[k, d] = gov._window_ticks
-                    self.TSR[k, d] = gov._ticks_since_raise
-                    self.BO[k, d] = gov._boost_ticks_left
-            self._rebuild(lane, refresh_state=True)
-            if sim.obs is not None:
-                sim.obs.emit(
-                    BatchCohortFormed(size=K, lane=k, tick=sim.tick)
-                )
-        if self.metrics is not None:
-            self.metrics.counter("engine.batch.cohorts").inc()
-            # Every lane ends in exactly one of engine.batch.retired or
-            # engine.batch.evictions.* — scripts/validate_batch_metrics.py
-            # checks that invariant against this admission count.
-            self.metrics.counter("engine.batch.lanes").inc(K)
-            self.metrics.histogram(
-                "engine.batch.cohort_size", (1, 2, 4, 8, 16, 32, 64, 128)
-            ).observe(K)
-            self._ctr_vec = self.metrics.counter("engine.batch.vector_ticks")
-            self._ctr_scalar = self.metrics.counter("engine.batch.scalar_ticks")
-        else:
-            self._ctr_vec = self._ctr_scalar = None
-
-    # -- array <-> object sync ------------------------------------------
-
-    def _rebuild(
-        self,
-        lane: _Lane,
-        refresh_state: bool = False,
-        cores: Optional[set] = None,
-    ) -> None:
-        """Re-derive steady-structure constants from lane objects.
-
-        ``refresh_state`` additionally re-reads the array-authoritative
-        task/core state (W/V/TB, window sums, idle counts) from the
-        objects — used at admission, where objects are authoritative.
-
-        ``cores`` restricts the per-core recompute to the given core ids
-        when the caller knows only those runqueues changed (a wake or a
-        task finish).  The restriction self-escalates to a full rebuild
-        whenever a cross-core input is stale — a frequency or DRAM
-        contention change invalidates every core's throughput constants.
-        """
-        k = lane.index
-        sim = lane.sim
-        tick_s = sim.tick_s
-        contention = sim.config.chip.memory_contention(int(self.BCP[k]))
-        f_little = sim.domains[CoreType.LITTLE].freq_khz
-        f_big = sim.domains[CoreType.BIG].freq_khz
-        if cores is not None and (
-            not cores
-            or refresh_state
-            or contention != lane.contention
-            or f_little != lane.f_little
-            or f_big != lane.f_big
-        ):
-            cores = None
-        lane.contention = contention
-        lane.f_little = f_little
-        lane.f_big = f_big
-
-        if refresh_state:
-            for core in sim.cores:
-                self.BW[k, core.core_id] = core.busy_in_window_s
-                self.IDLE[k, core.core_id] = core.idle_ticks
-
-        if cores is None:
-            self.ACTIVE[k, :] = False
-            self.BUSYADD[k, :] = 0.0
-            self.IDLEMASK[k, :] = False
-            self.BUSYMASK[k, :] = False
-            lane.busy_ids.clear()
-            scan = sim.cores
-        else:
-            # Slots that left a rebuilt core (finish, block) were already
-            # deactivated by the exec stage; slots that joined are
-            # re-activated below, so no row-wide ACTIVE reset is needed.
-            scan = [sim.cores[c] for c in cores]
-        slot_of = lane.slot_of
-        rq_nr = lane.rq_nr
-        for core in scan:
-            c = core.core_id
-            core.memory_contention = contention
-            if not core.enabled or not core.runqueue:
-                lane.busy_frac[c] = 0.0
-                lane.busy_tick[c] = 0.0
-                lane.act_factor[c] = 1.0
-                lane.busy_ids.discard(c)
-                self.BUSYMASK[k, c] = False
-                self.BUSYADD[k, c] = 0.0
-                rq_nr[c] = (
-                    sum(1 for t in core.runqueue if t.state is TaskState.RUNNABLE)
-                    if core.runqueue else 0
-                )
-                if core.enabled:
-                    self.IDLEMASK[k, c] = True
-                continue
-            lane.busy_ids.add(c)
-            self.BUSYMASK[k, c] = True
-            self.IDLEMASK[k, c] = False
-            rq = core.runqueue
-            n_rq = len(rq)
-            share = tick_s / n_rq
-            freq = core.freq_khz
-            freq_scale = freq / core.max_freq_khz
-            runnable_frac = min(1.0, share * n_rq / tick_s)
-            sample = runnable_frac * freq_scale * LOAD_SCALE
-            b = 0.0
-            aw = 0.0
-            nrun = 0
-            for task in rq:
-                if task.state is TaskState.RUNNABLE:
-                    nrun += 1
-                s = slot_of[id(task)]
-                lane.slot_core[s] = c
-                tput = cached_throughput(
-                    core.spec, freq, task.current_work_class, contention
-                )
-                d = task.load._decay
-                self.ACTIVE[k, s] = True
-                self.IS_LITTLE[k, s] = core.core_type is CoreType.LITTLE
-                self.SHARE[k, s] = share
-                self.TPUT[k, s] = tput
-                self.DEC[k, s] = share * tput
-                self.D[k, s] = d
-                self.RF[k, s] = runnable_frac
-                self.CONTRIB[k, s] = (1.0 - d) * sample
-                if refresh_state:
-                    self.W[k, s] = task._remaining_units
-                    self.V[k, s] = task.load._value
-                    self.TB[k, s] = task.total_busy_s
-                b += share
-                aw += share * task.current_activity_factor()
-            lane.busy_tick[c] = b
-            lane.busy_frac[c] = min(1.0, b / tick_s)
-            lane.act_factor[c] = 1.0 if b <= 0.0 else aw / b
-            self.BUSYADD[k, c] = b
-            rq_nr[c] = nrun
-
-        # Re-derive the HMP busy-tick guard from the runnable counts the
-        # scan just maintained.  This mirrors HMPScheduler.busy_tick_guard
-        # exactly (admission pins the scheduler to that class, so the
-        # count-only contract is guaranteed) without re-walking runqueues.
-        lc = [rq_nr[c] for c in lane.little_ids]
-        bc = [rq_nr[c] for c in lane.big_ids]
-        guard_ok = not (len(lc) >= 2 and max(lc) - min(lc) >= 2) and not (
-            len(bc) >= 2 and max(bc) - min(bc) >= 2
-        )
-        if guard_ok and lc and 0 in lc and any(n >= 2 for n in bc):
-            guard_ok = False  # the big-overload offload path would fire
-        if not guard_ok:
-            self.GUARD_OK[k] = False
-            self.UP_POSS[k] = self.DOWN_POSS[k] = False
-        else:
-            params = sim.hmp.params
-            self.GUARD_OK[k] = True
-            self.UP_POSS[k] = bool(bc) and 0 in bc
-            self.DOWN_POSS[k] = bool(lc)
-            self.UP_TH[k] = params.up_threshold
-            self.DOWN_TH[k] = params.down_threshold
-            lane.guard_streak = 0
-
-        t_next = int(self.TICKS[k])
-        nw = _INF_TICK
-        if sim._sleep_heap:
-            nw = sim._sleep_heap[0][0]
-        for chan in sim._watched_channels:
-            if chan.waiters and chan.permits >= chan.waiters[0][1]:
-                nw = min(nw, t_next)
-                break
-        self.NEXT_WAKE[k] = nw
-        self._schedule_deep(lane)
-        # DRAM contention lags the busy-core count by one row: if the new
-        # structure's count differs from the count the constants were
-        # built with, they must be rebuilt once more after one tick.
-        newcount = len(lane.busy_ids)
-        if newcount != int(self.BCP[k]):
-            self.NEXT_RECALC[k] = t_next + 1
-        else:
-            self.NEXT_RECALC[k] = _INF_TICK
-
-    def _hmp_noop(self, lane: _Lane) -> bool:
-        """True iff ``hmp.tick`` would provably change nothing right now.
-
-        Mirrors the three things a tick can do, evaluated on *fresh*
-        state (slot cores/actives and post-update loads — the per-lane
-        ``rq_nr`` snapshot is stale right after a wake or finish):
-
-        - threshold migrations (``_migration_target``): a runnable task
-          on a little core with load above ``up_threshold`` migrates iff
-          some big core has an empty runqueue; a runnable task on a big
-          core below ``down_threshold`` always migrates (littles exist);
-        - the big-overload offload: fires iff some little is idle while
-          some big runs >= 2 tasks;
-        - intra-cluster balancing: fires iff a cluster's runnable counts
-          differ by >= 2.
-        """
-        k = lane.index
-        counts = [0] * self._ncores
-        slot_core = lane.slot_core
-        ACT = self.ACTIVE[k]
-        act_slots = [s for s in range(len(slot_core)) if ACT[s]]
-        for s in act_slots:
-            counts[slot_core[s]] += 1
-        lc = [counts[c] for c in lane.little_ids]
-        bc = [counts[c] for c in lane.big_ids]
-        if len(lc) >= 2 and max(lc) - min(lc) >= 2:
-            return False
-        if len(bc) >= 2 and max(bc) - min(bc) >= 2:
-            return False
-        if lc and 0 in lc and any(n >= 2 for n in bc):
-            return False
-        params = lane.sim.hmp.params
-        big_idle = bool(bc) and 0 in bc
-        littles = bool(lc)
-        up_th = params.up_threshold
-        down_th = params.down_threshold
-        V = self.V[k]
-        IL = self.IS_LITTLE[k]
-        for s in act_slots:
-            if IL[s]:
-                if big_idle and V[s] > up_th:
-                    return False
-            elif littles and V[s] < down_th:
-                return False
-        return True
-
-    def _schedule_deep(self, lane: _Lane) -> None:
-        """Next tick at which an idle core's deep-idle flag flips."""
-        k = lane.index
-        deep_min = math.ceil(lane.sim._deep_entry_ticks)
-        t = int(self.TICKS[k])
-        nxt = _INF_TICK
-        for core in lane.sim.cores:
-            c = core.core_id
-            # Cores already deep (count >= deep_min) never cross again
-            # inside this structure; everyone else first reaches deep_min
-            # at row t + (deep_min - 1 - count), which may be t itself.
-            if self.IDLEMASK[k, c] and int(self.IDLE[k, c]) < deep_min:
-                nxt = min(nxt, t + (deep_min - 1 - int(self.IDLE[k, c])))
-        self.NEXT_DEEP[k] = nxt
-
-    def _replay_quiet(self, lane: _Lane, cap: int) -> int:
-        """Advance one guard-certified lane through up to ``cap`` quiet
-        ticks with a scalar per-tick replay, stopping — without committing
-        the stopping tick — at the first predicted task finish or HMP
-        threshold crossing.  Returns the number of ticks committed.
-
-        The float recurrences (load EWMA, work decrement, busy-window
-        accumulation) are replayed operation-for-operation because closed
-        forms are not bit-identical to per-tick iteration; integer
-        counters (governor windows, idle streaks) advance linearly.  The
-        caller bounds ``cap`` so no wake, deep-idle crossing, governor
-        window close, contention recalc, retire, or forced eviction can
-        fall inside the span: the only data-dependent stops are the two
-        checked here, which mirror the vectorized stage's finish and
-        crossing predicates exactly.
-        """
-        k = lane.index
-        slots = [int(s) for s in np.nonzero(self.ACTIVE[k])[0]]
-        n = 0
-        if slots:
-            w = [float(self.W[k, s]) for s in slots]
-            v = [float(self.V[k, s]) for s in slots]
-            tb = [float(self.TB[k, s]) for s in slots]
-            d = [float(self.D[k, s]) for s in slots]
-            contrib = [float(self.CONTRIB[k, s]) for s in slots]
-            dec = [float(self.DEC[k, s]) for s in slots]
-            share = [float(self.SHARE[k, s]) for s in slots]
-            tput = [float(self.TPUT[k, s]) for s in slots]
-            lit = [bool(self.IS_LITTLE[k, s]) for s in slots]
-            up_ok = bool(self.UP_POSS[k])
-            down_ok = bool(self.DOWN_POSS[k])
-            up_th = float(self.UP_TH[k])
-            down_th = float(self.DOWN_TH[k])
-            busy = sorted(lane.busy_ids)
-            bw = [float(self.BW[k, c]) for c in busy]
-            badd = [float(self.BUSYADD[k, c]) for c in busy]
-            rng = range(len(slots))
-            brng = range(len(busy))
-            while n < cap:
-                stop = False
-                for i in rng:
-                    wi = w[i]
-                    if wi / tput[i] < share[i] or wi - dec[i] <= 1e-12:
-                        stop = True
-                        break
-                if stop:
-                    break
-                vn = [d[i] * v[i] + contrib[i] for i in rng]
-                for i in rng:
-                    if lit[i]:
-                        if up_ok and vn[i] > up_th:
-                            stop = True
-                            break
-                    elif down_ok and vn[i] < down_th:
-                        stop = True
-                        break
-                if stop:
-                    break
-                for i in rng:
-                    w[i] -= dec[i]
-                    tb[i] += share[i]
-                v = vn
-                for j in brng:
-                    bw[j] += badd[j]
-                n += 1
-            if n == 0:
-                return 0
-            for i in rng:
-                s = slots[i]
-                self.W[k, s] = w[i]
-                self.V[k, s] = v[i]
-                self.TB[k, s] = tb[i]
-            for j in brng:
-                self.BW[k, busy[j]] = bw[j]
-        else:
-            # No runnable work anywhere: the whole span is free of
-            # data-dependent stops, and the busy-window adds are all zero.
-            n = cap
-        self.TICKS[k] += n
-        self.VECT[k] += n
-        for dd in range(self.SAMP.shape[1]):
-            if self.SAMP[k, dd] < _INF_TICK:
-                self.WT[k, dd] += n
-                self.TSR[k, dd] += n
-                bo = int(self.BO[k, dd])
-                if bo:
-                    self.BO[k, dd] = bo - n if bo > n else 0
-        for c in range(self._ncores):
-            if self.IDLEMASK[k, c]:
-                self.IDLE[k, c] += n
-            elif self.BUSYMASK[k, c]:
-                self.IDLE[k, c] = 0
-        return n
-
-    def _sync_loads(self, lane: _Lane) -> None:
-        """Array load values -> task objects (before object HMP/placement)."""
-        k = lane.index
-        for s, task in enumerate(lane.tasks):
-            if self.ACTIVE[k, s]:
-                task.load._value = self.V[k, s]
-
-    def _sync_slots_to_objects(self, lane: _Lane, core_ids: set[int]) -> None:
-        k = lane.index
-        for s, task in enumerate(lane.tasks):
-            if self.ACTIVE[k, s] and lane.slot_core[s] in core_ids:
-                task._remaining_units = self.W[k, s]
-                task.total_busy_s = self.TB[k, s]
-                task.load._value = self.V[k, s]
-
-    def _sync_counters_to_objects(self, lane: _Lane) -> None:
-        k = lane.index
-        for d, (_ct, gov, _dom) in enumerate(lane.gov_items):
-            if type(gov) is InteractiveGovernor:
-                gov._window_ticks = int(self.WT[k, d])
-                gov._ticks_since_raise = int(self.TSR[k, d])
-                gov._boost_ticks_left = int(self.BO[k, d])
-
-    def _read_counters_from_objects(self, lane: _Lane, domains) -> None:
-        k = lane.index
-        for d, (_ct, gov, _dom) in enumerate(lane.gov_items):
-            if d in domains and type(gov) is InteractiveGovernor:
-                self.WT[k, d] = gov._window_ticks
-                self.TSR[k, d] = gov._ticks_since_raise
-                self.BO[k, d] = gov._boost_ticks_left
-
-    def _sync_all_to_objects(self, lane: _Lane) -> None:
-        """Full array -> object sync, leaving the lane reference-runnable."""
-        k = lane.index
-        sim = lane.sim
-        sim.tick = int(self.TICKS[k])
-        # BCP lags one tick behind a structure change until the pending
-        # contention recalc fires; the reference reads the last *row's*
-        # busy count, so apply the pending value before handing over.
-        if self.NEXT_RECALC[k] <= self.TICKS[k]:
-            self.BCP[k] = len(lane.busy_ids)
-        sim._busy_cores_prev = int(self.BCP[k])
-        for s, task in enumerate(lane.tasks):
-            if self.ACTIVE[k, s]:
-                task._remaining_units = self.W[k, s]
-                task.total_busy_s = self.TB[k, s]
-                task.load._value = self.V[k, s]
-        for core in sim.cores:
-            core.busy_in_window_s = self.BW[k, core.core_id]
-            core.idle_ticks = int(self.IDLE[k, core.core_id])
-        self._sync_counters_to_objects(lane)
-
-    # -- trace segments --------------------------------------------------
-
-    def _flush(self, lane: _Lane, upto: int, idle_ahead: int = 0) -> None:
-        """Record the steady segment ``[seg_start, upto)`` as one block.
-
-        ``idle_ahead`` is how many rows *past* ``upto`` the ``IDLE``
-        counters already include (1 when flushing after the current
-        tick's vectorized idle update, for a segment ending before it).
-        """
-        n = upto - lane.seg_start
-        if n <= 0:
-            return
-        k = lane.index
-        sim = lane.sim
-        deep_entry = sim._deep_entry_ticks
-        f_l, f_b = lane.f_little, lane.f_big
-        deep_bits = 0
-        idle_row = self.IDLE[k]
-        for core in sim.cores:
-            if not core.enabled:
-                continue
-            c = core.core_id
-            if c in lane.busy_ids:
-                if 0 >= deep_entry:
-                    deep_bits |= 1 << c
-            # IDLE holds the count idle_ahead rows past the segment's
-            # last row; the first row's count is IDLE - idle_ahead
-            # - n + 1, constant in deepness across the segment
-            # because cuts land on crossings.
-            elif int(idle_row[c]) - idle_ahead - n + 1 >= deep_entry:
-                deep_bits |= 1 << c
-        power, little_cpu_mw, big_cpu_mw = self._row_power(
-            lane, f_l, f_b, lane.busy_frac, lane.act_factor, deep_bits
-        )
-        sim.trace.record_block(
-            n, f_l, f_b, power,
-            wakeups=0,
-            little_cpu_mw=little_cpu_mw,
-            big_cpu_mw=big_cpu_mw,
-            busy_fraction=list(lane.busy_frac),
-        )
-        lane.seg_start = upto
-
-    def _row_power(
-        self,
-        lane: "_Lane",
-        f_l: int,
-        f_b: int,
-        busy,
-        af,
-        deep_bits: int,
-    ) -> tuple[float, float, float]:
-        """(system, little, big) row power, memoized on the row state.
-
-        Keys are the exact floats the power model would consume, so a
-        hit returns bit-identical values to recomputation.
-        """
-        key = (f_l, f_b, tuple(busy), tuple(af), deep_bits)
-        hit = lane.row_pow.get(key)
-        if hit is not None:
-            return hit
-        sim = lane.sim
-        pm = sim._pm
-        volt_l = sim.domains[CoreType.LITTLE].opp_table.voltage_at(f_l)
-        volt_b = sim.domains[CoreType.BIG].opp_table.voltage_at(f_b)
-        core_powers = []
-        little_cpu_mw = big_cpu_mw = 0.0
-        for core in sim.cores:
-            if not core.enabled:
-                continue
-            c = core.core_id
-            is_little = core.core_type is CoreType.LITTLE
-            core_mw = pm.core_power_mw(
-                core.core_type,
-                f_l if is_little else f_b,
-                volt_l if is_little else volt_b,
-                busy[c],
-                af[c],
-                deep_idle=bool(deep_bits >> c & 1),
-            )
-            core_powers.append(core_mw)
-            if is_little:
-                little_cpu_mw += core_mw
-            else:
-                big_cpu_mw += core_mw
-        result = (
-            pm.system_power_mw(core_powers, lane.cluster_powers),
-            little_cpu_mw,
-            big_cpu_mw,
-        )
-        if len(lane.row_pow) >= 16384:
-            lane.row_pow.clear()
-        lane.row_pow[key] = result
-        return result
-
-    def _emit_row(
-        self,
-        lane: _Lane,
-        t: int,
-        row_busy: list[float],
-        row_af: list[float],
-        wakeups: int,
-    ) -> None:
-        """Record the single (irregular) trace row for event tick ``t``.
-
-        ``IDLE`` must already hold the post-row counts; frequencies are
-        read from the domains (post-governor, matching ``_record_tick``
-        running after the governor stage).
-        """
-        k = lane.index
-        sim = lane.sim
-        deep_entry = sim._deep_entry_ticks
-        f_l = sim.domains[CoreType.LITTLE].freq_khz
-        f_b = sim.domains[CoreType.BIG].freq_khz
-        deep_bits = 0
-        idle_row = self.IDLE[k]
-        for core in sim.cores:
-            if core.enabled and int(idle_row[core.core_id]) >= deep_entry:
-                deep_bits |= 1 << core.core_id
-        dp = lane.dpow
-        if dp is not None:
-            # Event rows rarely repeat (continuous busy fractions), so
-            # instead of the memoized scalar path, record a placeholder
-            # and stage the inputs for one vectorized post-pass.
-            sim.trace.record_block(
-                1, f_l, f_b, 0.0,
-                wakeups=wakeups,
-                busy_fraction=row_busy,
-            )
-            dp.stage(
-                t,
-                row_busy,
-                [row_af[c.core_id] for c in sim.cores if c.enabled],
-                [bool(deep_bits >> c.core_id & 1)
-                 for c in sim.cores if c.enabled],
-            )
-        else:
-            power, little_cpu_mw, big_cpu_mw = self._row_power(
-                lane, f_l, f_b, row_busy, row_af, deep_bits
-            )
-            sim.trace.record_block(
-                1, f_l, f_b, power,
-                wakeups=wakeups,
-                little_cpu_mw=little_cpu_mw,
-                big_cpu_mw=big_cpu_mw,
-                busy_fraction=row_busy,
-            )
-        lane.seg_start = t + 1
-        self.BCP[k] = sum(1 for bf in row_busy if bf > 0.0)
-
-    # -- lifecycle -------------------------------------------------------
-
-    def _evict(self, lane: _Lane, cause: str, flush: bool = True) -> None:
-        lane.status = "evicted"
-        lane.cause = cause
-        if flush:
-            self._flush(lane, int(self.TICKS[lane.index]))
-            self._sync_all_to_objects(lane)
-        if lane.dpow is not None:
-            # Backfill the rows this engine recorded; the reference run
-            # below creates its own pipeline for the remainder.
-            lane.dpow.flush()
-        self.LIVE[lane.index] = False
-        sim = lane.sim
-        if sim.obs is not None:
-            sim.obs.emit(
-                BatchCohortEvicted(cause=cause, lane=lane.index, tick=sim.tick)
-            )
-        if self.metrics is not None:
-            self.metrics.counter(f"engine.batch.evictions.{cause}").inc()
-        lane.vector_ticks = int(self.VECT[lane.index])
-        sim.run()
-
-    def _retire(self, lane: _Lane, t_end: int) -> None:
-        lane.status = "retired"
-        self._flush(lane, t_end)
-        self._sync_all_to_objects(lane)
-        self.LIVE[lane.index] = False
-        sim = lane.sim
-        sim.tick = t_end
-        sim._busy_cores_prev = int(self.BCP[lane.index])
-        if sim.obs is not None:
-            sim.obs.emit(BatchCohortRetired(lane=lane.index, tick=t_end))
-        if self.metrics is not None:
-            self.metrics.counter("engine.batch.retired").inc()
-        lane.vector_ticks = int(self.VECT[lane.index])
-        if lane.dpow is not None:
-            lane.dpow.flush()
-        sim.trace.finalize()
-
-    # -- the kernel ------------------------------------------------------
-
-    def run(self) -> list["_Lane"]:
-        lanes = self.lanes
-        if not self.LIVE.any():
-            return lanes
-        TICKS, LIVE = self.TICKS, self.LIVE
-        W, V, TB = self.W, self.V, self.TB
-        tick_s = lanes[0].sim.tick_s
-        little, big = CoreType.LITTLE, CoreType.BIG
-
-        while LIVE.any():
-            if self.force_evict_at:
-                for k, when in list(self.force_evict_at.items()):
-                    if LIVE[k] and TICKS[k] >= when:
-                        self._evict(lanes[k], CAUSE_FORCED)
-                        del self.force_evict_at[k]
-                if not LIVE.any():
-                    break
-
-            # ---- phase 1: per-lane quiet-span replay --------------------
-            # Advance every guard-certified lane to its own next attention
-            # tick (wake, deep-idle crossing, window close, contention
-            # recalc, retire, forced eviction, or a data-dependent finish /
-            # threshold crossing found by the replay itself).  After this,
-            # the per-iteration stage machinery below only runs at
-            # attention ticks, so the iteration count tracks events per
-            # lane instead of the tick count.
-            quiet_close = np.where(
-                self.SAMP >= _INF_TICK, _INF_TICK, self.SAMP - 1 - self.WT
-            ).min(axis=1)
-            horizon = np.minimum(self.NEXT_WAKE, self.NEXT_DEEP)
-            np.minimum(horizon, self.NEXT_RECALC, out=horizon)
-            np.minimum(horizon, self.MAXT, out=horizon)
-            np.minimum(horizon, TICKS + quiet_close, out=horizon)
-            jcap = horizon - TICKS
-            replayed = 0
-            for k in np.nonzero(LIVE & self.GUARD_OK & (jcap > 0))[0]:
-                k = int(k)
-                cap = int(jcap[k])
-                when = self.force_evict_at.get(k)
-                if when is not None:
-                    cap = min(cap, when - int(TICKS[k]))
-                if cap > 0:
-                    replayed += self._replay_quiet(lanes[k], cap)
-            if replayed and self._ctr_vec is not None:
-                self._ctr_vec.inc(replayed)
-
-            for k in np.nonzero(LIVE & (self.NEXT_RECALC <= TICKS))[0]:
-                lane = lanes[int(k)]
-                self.BCP[k] = len(lane.busy_ids)
-                self._rebuild(lane, refresh_state=False)
-
-            if replayed:
-                done = LIVE & (TICKS >= self.MAXT)
-                if done.any():
-                    for k in np.nonzero(done)[0]:
-                        self._retire(lanes[int(k)], int(self.MAXT[k]))
-                    if not LIVE.any():
-                        break
-
-            t_vec = TICKS
-            due_wake = LIVE & (self.NEXT_WAKE <= t_vec)
-            due_deep = LIVE & (self.NEXT_DEEP <= t_vec)
-            close_in = np.where(
-                self.SAMP >= _INF_TICK, _INF_TICK, self.SAMP - 1 - self.WT
-            )
-            due_close = LIVE[:, None] & (close_in <= 0)
-            any_active = bool((self.ACTIVE & LIVE[:, None]).any())
-            scalar_lanes = LIVE & ~self.GUARD_OK
-
-            if (
-                not any_active
-                and not due_wake.any()
-                and not due_deep.any()
-                and not due_close.any()
-                and not scalar_lanes.any()
-            ):
-                # Whole cohort idle: jump each lane to its own next event.
-                horizon = np.minimum(self.NEXT_WAKE, self.NEXT_DEEP)
-                horizon = np.minimum(horizon, t_vec + close_in.min(axis=1))
-                horizon = np.minimum(horizon, self.NEXT_RECALC)
-                horizon = np.minimum(horizon, self.MAXT)
-                delta = np.where(LIVE, np.maximum(horizon - t_vec, 1), 0)
-                TICKS += delta
-                self.WT += delta[:, None]
-                self.TSR += delta[:, None]
-                np.maximum(self.BO - delta[:, None], 0, out=self.BO)
-                self.IDLE += delta[:, None] * self.IDLEMASK
-                if self._ctr_vec is not None:
-                    self._ctr_vec.inc(int(delta.sum()))
-                self.VECT += delta
-                for k in np.nonzero(LIVE & (TICKS >= self.MAXT))[0]:
-                    self._retire(lanes[int(k)], int(self.MAXT[k]))
-                continue
-
-            # ---- wake stage ---------------------------------------------
-            # exec_cores[k]: cores that must execute object-side this tick.
-            exec_cores: dict[int, set[int]] = {}
-            wake_counts: dict[int, int] = {}
-            event_lanes: set[int] = set()
-            # Lanes whose governor counters were pushed to the objects
-            # before wakes/exec ran (so a notify_input boost lands on
-            # current state); the governor stage must not re-sync them.
-            counters_synced: set[int] = set()
-
-            for k in np.nonzero(due_wake)[0]:
-                k = int(k)
-                lane = lanes[k]
-                sim = lane.sim
-                t = int(TICKS[k])
-                self._flush(lane, t)
-                self._sync_loads(lane)
-                sim.tick = t
-                sim._wakeups_this_tick = 0
-                if lane.boost_capable:
-                    self._sync_counters_to_objects(lane)
-                    counters_synced.add(k)
-                # A wake is a state transition to RUNNABLE plus an enqueue
-                # (which stamps task.core_id); tasks already runnable are
-                # never re-placed, so a before/after state scan over the
-                # (small) task list finds every newly enqueued task.
-                tasks = lane.tasks
-                pre = [task.state is TaskState.RUNNABLE for task in tasks]
-                sim._process_wakeups()
-                touched: set[int] = set()
-                for s, task in enumerate(tasks):
-                    if task.state is TaskState.RUNNABLE and not pre[s]:
-                        c = task.core_id
-                        if c is None:
-                            continue
-                        core = sim.cores[c]
-                        touched.add(c)
-                        W[k, s] = task._remaining_units
-                        V[k, s] = task.load._value
-                        TB[k, s] = task.total_busy_s
-                        lane.slot_core[s] = c
-                        self.ACTIVE[k, s] = True
-                        self.IS_LITTLE[k, s] = core.core_type is little
-                wake_counts[k] = sim._wakeups_this_tick
-                event_lanes.add(k)
-                # An input boost during a wake-up changes the domain
-                # frequency before any core executes this tick: the whole
-                # lane's execution runs object-side.
-                if (
-                    sim.domains[little].freq_khz != lane.f_little
-                    or sim.domains[big].freq_khz != lane.f_big
-                ):
-                    touched |= {
-                        c.core_id for c in sim.cores if c.enabled and c.runqueue
-                    }
-                exec_cores[k] = touched
-
-            # ---- predicted work-exhaustion events -----------------------
-            act = self.ACTIVE & LIVE[:, None]
-            need = W / self.TPUT
-            finish = act & ((need < self.SHARE) | (W - self.DEC <= 1e-12))
-            for k in np.nonzero(finish.any(axis=1))[0]:
-                k = int(k)
-                cores_k = exec_cores.setdefault(k, set())
-                for s in np.nonzero(finish[k])[0]:
-                    cores_k.add(lanes[k].slot_core[int(s)])
-                event_lanes.add(k)
-
-            # ---- surgical execution -------------------------------------
-            excl_slot = np.zeros_like(self.ACTIVE)
-            excl_core = np.zeros((len(lanes), self._ncores), dtype=bool)
-            for k in sorted(event_lanes):
-                lane = lanes[k]
-                sim = lane.sim
-                t = int(TICKS[k])
-                if lane.seg_start < t:
-                    self._flush(lane, t)
-                sim.tick = t
-                wake_counts.setdefault(k, 0)
-                cores_k = exec_cores.get(k, set())
-                cores_k.discard(-1)
-                row_busy = list(lane.busy_frac)
-                row_af = list(lane.act_factor)
-                if cores_k:
-                    if lane.boost_capable and k not in counters_synced:
-                        self._sync_counters_to_objects(lane)
-                        counters_synced.add(k)
-                    self._sync_slots_to_objects(lane, cores_k)
-                    pending = [c for c in sim.cores if c.core_id in cores_k]
-                    i = 0
-                    while i < len(pending):
-                        core = pending[i]
-                        core.busy_in_window_s = self.BW[k, core.core_id]
-                        core.begin_tick()
-                        core.memory_contention = lane.contention
-                        f_before = (
-                            sim.domains[little].freq_khz,
-                            sim.domains[big].freq_khz,
-                        )
-                        core.execute_tick(tick_s, sim)
-                        f_after = (
-                            sim.domains[little].freq_khz,
-                            sim.domains[big].freq_khz,
-                        )
-                        if f_after != f_before:
-                            # Mid-execution input boost: in the reference,
-                            # every core after this one (in core order)
-                            # executes at the new frequency — escalate
-                            # them to object-side execution.
-                            pend_ids = {p.core_id for p in pending}
-                            extra = [
-                                c for c in sim.cores
-                                if c.core_id > core.core_id
-                                and c.enabled and c.runqueue
-                                and c.core_id not in pend_ids
-                            ]
-                            if extra:
-                                self._sync_slots_to_objects(
-                                    lane, {c.core_id for c in extra}
-                                )
-                                pending = pending[: i + 1] + sorted(
-                                    pending[i + 1:] + extra,
-                                    key=lambda c: c.core_id,
-                                )
-                                cores_k |= {c.core_id for c in extra}
-                        i += 1
-                    exec_cores[k] = cores_k
-                    # Reference `_update_loads`, restricted to the cores
-                    # that executed object-side; everyone else's samples
-                    # stay in the vectorized update.
-                    slot_of = lane.slot_of
-                    for core in pending:
-                        if not core.enabled:
-                            continue
-                        freq_scale = core.freq_khz / core.max_freq_khz
-                        n = max(1, core.nr_start)
-                        for task in core.tick_tasks:
-                            if task.state is TaskState.FINISHED:
-                                continue
-                            runnable_frac = min(
-                                1.0, task.busy_in_tick_s * n / tick_s
-                            )
-                            task.load.update(
-                                runnable_frac * freq_scale * LOAD_SCALE
-                            )
-                            s = slot_of[id(task)]
-                            V[k, s] = task.load._value
-                            W[k, s] = task._remaining_units
-                            TB[k, s] = task.total_busy_s
-                        c = core.core_id
-                        row_busy[c] = core.busy_fraction(tick_s)
-                        row_af[c] = core.mean_activity_factor()
-                        self.BW[k, c] = core.busy_in_window_s
-                        excl_core[k, c] = True
-                    for s, task in enumerate(lane.tasks):
-                        if self.ACTIVE[k, s] and lane.slot_core[s] in cores_k:
-                            excl_slot[k, s] = True
-                            if task.state is not TaskState.RUNNABLE:
-                                self.ACTIVE[k, s] = False
-                # A frequency change mid-tick (input boost) means the
-                # reference samples this tick's loads at the *new*
-                # frequency for every core; refresh CONTRIB for the
-                # slots that stay vectorized this tick.
-                if (
-                    sim.domains[little].freq_khz != lane.f_little
-                    or sim.domains[big].freq_khz != lane.f_big
-                ):
-                    for s, task in enumerate(lane.tasks):
-                        if not self.ACTIVE[k, s] or excl_slot[k, s]:
-                            continue
-                        core = sim.cores[lane.slot_core[s]]
-                        freq_scale = core.freq_khz / core.max_freq_khz
-                        self.CONTRIB[k, s] = (1.0 - self.D[k, s]) * (
-                            self.RF[k, s] * freq_scale * LOAD_SCALE
-                        )
-                self._row_cache[k] = (row_busy, row_af)
-
-            # ---- vectorized steady updates ------------------------------
-            ev = np.zeros(len(lanes), dtype=bool)
-            for k in event_lanes:
-                ev[k] = True
-            vec = act & ~excl_slot
-            VN = self.D * V + self.CONTRIB
-            W -= self.DEC * vec
-            TB += self.SHARE * vec
-            np.copyto(V, VN, where=vec)
-            self.BW += self.BUSYADD * (LIVE[:, None] & ~excl_core)
-            nonev = LIVE & ~ev
-            self.IDLE += (self.IDLEMASK & nonev[:, None]).astype(np.int64)
-            np.copyto(self.IDLE, 0, where=self.BUSYMASK & nonev[:, None])
-            cnt = (nonev[:, None] & ~due_close & (self.SAMP < _INF_TICK)).astype(
-                np.int64
-            )
-            self.WT += cnt
-            self.TSR += cnt
-            self.BO -= (self.BO > 0) * cnt
-            self.VECT += nonev
-            if self._ctr_vec is not None and nonev.any():
-                self._ctr_vec.inc(int(nonev.sum()))
-
-            # ---- scheduler stage (load crossings / invalid guard) -------
-            up = (
-                vec
-                & self.IS_LITTLE
-                & (self.GUARD_OK & self.UP_POSS)[:, None]
-                & (V > self.UP_TH[:, None])
-            )
-            down = (
-                vec
-                & ~self.IS_LITTLE
-                & (self.GUARD_OK & self.DOWN_POSS)[:, None]
-                & (V < self.DOWN_TH[:, None])
-            )
-            cross = (up | down).any(axis=1)
-            structural: set[int] = set()
-            for k in np.nonzero((cross | scalar_lanes | ev) & LIVE)[0]:
-                k = int(k)
-                lane = lanes[k]
-                if (
-                    ev[k]
-                    and not scalar_lanes[k]
-                    and self._hmp_noop(lane)
-                ):
-                    # The wake/finish left a state the migration pass
-                    # provably ignores; skip the object round-trip.
-                    continue
-                sim = lane.sim
-                sim.tick = int(TICKS[k])
-                self._sync_loads(lane)
-                before = tuple(task.core_id for task in lane.tasks)
-                sim.hmp.tick(sim.cores)
-                if tuple(task.core_id for task in lane.tasks) != before:
-                    structural.add(k)
-                    lane.guard_streak = 0
-                elif scalar_lanes[k] and k not in event_lanes:
-                    lane.guard_streak += 1
-
-            # ---- governor stage -----------------------------------------
-            freq_changed: set[int] = set()
-            close_any = due_close.any(axis=1)
-            for k in np.nonzero((close_any | ev) & LIVE)[0]:
-                k = int(k)
-                lane = lanes[k]
-                sim = lane.sim
-                is_event = k in event_lanes
-                t = int(TICKS[k])
-                sim.tick = t
-                synced = k in counters_synced
-                ticked = []
-                for d, (_ct, gov, dom) in enumerate(lane.gov_items):
-                    if self.SAMP[k, d] >= _INF_TICK:
-                        # Pinned governor: tick is a no-op by admission.
-                        continue
-                    if due_close[k, d] or (is_event and synced):
-                        if not synced:
-                            gov._window_ticks = int(self.WT[k, d])
-                            gov._ticks_since_raise = int(self.TSR[k, d])
-                            gov._boost_ticks_left = int(self.BO[k, d])
-                        for core in dom.cores:
-                            core.busy_in_window_s = self.BW[k, core.core_id]
-                        gov.tick(dom, t, tick_s)
-                        for core in dom.cores:
-                            self.BW[k, core.core_id] = core.busy_in_window_s
-                        ticked.append(d)
-                    elif is_event:
-                        # Between window closes InteractiveGovernor.tick
-                        # is pure counter arithmetic; replay it on the
-                        # arrays instead of round-tripping the object.
-                        self.WT[k, d] += 1
-                        self.TSR[k, d] += 1
-                        if self.BO[k, d] > 0:
-                            self.BO[k, d] -= 1
-                self._read_counters_from_objects(lane, ticked)
-                if (
-                    sim.domains[little].freq_khz != lane.f_little
-                    or sim.domains[big].freq_khz != lane.f_big
-                ):
-                    freq_changed.add(k)
-
-            # ---- row emission, rebuilds, retire checks ------------------
-            attention = (
-                event_lanes
-                | structural
-                | freq_changed
-                | {int(k) for k in np.nonzero(due_deep)[0]}
-            )
-            TICKS += LIVE.astype(np.int64)
-            for k in sorted(attention):
-                if not LIVE[k]:
-                    continue
-                lane = lanes[k]
-                sim = lane.sim
-                t = int(TICKS[k]) - 1
-                is_event = k in event_lanes
-                changed = k in freq_changed
-                if is_event:
-                    row_busy, row_af = self._row_cache.pop(k)
-                    for core in sim.cores:
-                        c = core.core_id
-                        if core.enabled:
-                            if row_busy[c] <= 0.0:
-                                self.IDLE[k, c] += 1
-                            else:
-                                self.IDLE[k, c] = 0
-                    self._emit_row(lane, t, row_busy, row_af, wake_counts[k])
-                    lane.scalar_ticks += 1
-                    if self._ctr_scalar is not None:
-                        self._ctr_scalar.inc()
-                elif changed:
-                    self._flush(lane, t, idle_ahead=1)
-                    self._emit_row(
-                        lane, t, list(lane.busy_frac), list(lane.act_factor), 0
-                    )
-                    lane.scalar_ticks += 1
-                elif k in structural:
-                    if due_deep[k]:
-                        # Row t is a deep-idle crossing: cut the steady
-                        # segment there so the pre-crossing rows and row t
-                        # get distinct deep flags.
-                        self._flush(lane, t, idle_ahead=1)
-                    self._flush(lane, t + 1)
-                    # The flushed rows carry the *old* structure's busy set;
-                    # BCP must describe that last row so _rebuild schedules
-                    # the contention recalc at the right tick.
-                    self.BCP[k] = sum(1 for bf in lane.busy_frac if bf > 0.0)
-                    lane.scalar_ticks += 1
-                elif due_deep[k]:
-                    self._flush(lane, t, idle_ahead=1)
-                    self._schedule_deep(lane)
-                    continue
-                if is_event and k not in structural:
-                    # Only the executed cores' runqueues changed; the
-                    # restriction self-escalates on freq/contention drift.
-                    self._rebuild(lane, cores=exec_cores.get(k))
-                else:
-                    self._rebuild(lane, refresh_state=False)
-
-            for k in np.nonzero(LIVE)[0]:
-                k = int(k)
-                lane = lanes[k]
-                sim = lane.sim
-                t_next = int(TICKS[k])
-                if sim._unfinished == 0 or sim._stop_requested:
-                    self._retire(lane, t_next)
-                elif t_next >= self.MAXT[k]:
-                    self._retire(lane, int(self.MAXT[k]))
-                elif lane.guard_streak > _MAX_GUARD_INVALID_STREAK:
-                    self._evict(lane, CAUSE_DIVERGED)
-        return lanes
+    def run(self):
+        return [sim.run() for sim in self.sims]

@@ -128,11 +128,6 @@ class SimConfig:
     #: reference tick-by-tick loop (as does ``REPRO_ENGINE_FASTPATH=0``
     #: in the environment) — useful when debugging or validating traces.
     fastpath: bool = True
-    #: Allow this run to join a batched lockstep cohort
-    #: (:mod:`repro.sim.batchengine`).  False pins per-run execution for
-    #: this spec even when the runner batches, as does
-    #: ``REPRO_ENGINE_BATCHED=0`` globally.
-    batched: bool = True
 
     def __post_init__(self) -> None:
         if self.core_config is None:
