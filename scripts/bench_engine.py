@@ -37,7 +37,9 @@ Scenario families:
   dedup (zero duplicate executions).
 - *lake-query*: 200 cached RLE runs queried through ``repro.lake`` —
   catalog rebuild time and group-by queries/sec, with a hard assertion
-  that no query densifies a trace (``trace.materializations`` delta 0).
+  that no query densifies a trace (``trace.materializations`` delta 0)
+  and a ``trace_loads`` count of trace files the battery opened (0:
+  queries fold the per-entry summaries the catalog carries).
 
 ``--compare OLD.json`` prints per-scenario deltas against a previously
 written results file and is applied before ``--out`` overwrites the
@@ -544,6 +546,8 @@ def bench_lake_query(quick: bool):
     snapshotted around the query pass and its delta **must be zero** —
     the lake's core claim is that cross-run analytics never densify a
     trace, and this bench enforces it where the numbers are produced.
+    ``trace_loads`` counts trace files the battery opened; every entry
+    here was stored with its ``trace_summary``, so it must be zero.
     """
     from repro.lake import Catalog, LakeQuery
     from repro.obs.metrics import global_metrics
@@ -579,14 +583,15 @@ def bench_lake_query(quick: bool):
             LakeQuery(catalog).where(seed=0).agg("count", "mean:avg_power_mw"),
             LakeQuery(catalog).group_by("seed").agg("sum:energy_mj"),
         ]
-        mat_before = global_metrics().counter("trace.materializations").value
+        reg = global_metrics()
+        mat_before = reg.counter("trace.materializations").value
+        loads_before = reg.counter("lake.query.trace_loads").value
         t0 = time.monotonic()
         for query in queries:
             query.run()
         queries_wall_s = time.monotonic() - t0
-        materializations = (
-            global_metrics().counter("trace.materializations").value - mat_before
-        )
+        materializations = reg.counter("trace.materializations").value - mat_before
+        trace_loads = reg.counter("lake.query.trace_loads").value - loads_before
     if materializations:
         raise AssertionError(
             f"lake-query densified {materializations} traces; the RLE "
@@ -605,6 +610,7 @@ def bench_lake_query(quick: bool):
             len(queries) / queries_wall_s if queries_wall_s > 0 else float("inf")
         ),
         "materializations": materializations,
+        "trace_loads": trace_loads,
     }
 
 
@@ -732,7 +738,8 @@ def main(argv=None) -> int:
           f"catalog rebuild {lake['catalog_build_s'] * 1e3:.0f}ms, "
           f"{lake['n_queries']} queries in {lake['queries_wall_s']:.2f}s "
           f"({lake['queries_per_sec']:.1f} q/s), "
-          f"{lake['materializations']} densifications")
+          f"{lake['materializations']} densifications, "
+          f"{lake['trace_loads']} trace loads")
 
     if args.compare:
         compare(rows, args.compare)

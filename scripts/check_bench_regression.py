@@ -22,7 +22,10 @@ any machine:
 
 Plus exact **determinism checks** that hold everywhere: the folded
 sweep must produce zero scalar mismatches, and the lake-query scenario
-must have densified zero traces over >= 200 entries.
+must have densified zero traces over >= 200 entries and, when the fresh
+run reports ``trace_loads``, opened zero trace files (every entry is
+stored with its kernel summary, so a query reading traces again is a
+regression on any runner).
 
 Exit status: 0 when every check passes, 1 otherwise (CI runs this
 blocking).
@@ -152,6 +155,10 @@ def check(fresh: dict, baseline: dict) -> tuple[list[str], list[str]]:
         line = (f"lake-query: {materializations} trace densifications "
                 f"(must be 0)")
         ok(line) if materializations == 0 else fail(line)
+        if "trace_loads" in lake:
+            trace_loads = int(lake["trace_loads"])
+            line = f"lake-query: {trace_loads} trace loads (must be 0)"
+            ok(line) if trace_loads == 0 else fail(line)
     elif "lake_query" in baseline:
         fail("lake_query section missing from fresh run (present in baseline)")
 

@@ -8,15 +8,19 @@ store:
 
 - :mod:`repro.lake.catalog` — an append-only JSONL **catalog** indexing
   every cache entry (spec hash, app, scheduler + governor params, chip,
-  seed, ``repro.__version__``, stored reductions/metrics, trace policy),
-  maintained incrementally on ``ResultCache.store()`` and rebuildable by
-  scanning the cache tree;
+  seed, ``repro.__version__``, stored reductions/metrics, trace policy,
+  and a traced entry's ``trace_summary``), maintained incrementally on
+  ``ResultCache.store()`` and rebuildable by scanning the cache tree;
 - :mod:`repro.lake.kernels` — **RLE-native query kernels** (aggregate
   residency, migration counts, frequency histograms, per-cluster
   energy) that consume :class:`~repro.sim.traceio.RLEColumn` run-lengths
-  directly, never inflating a dense :class:`~repro.sim.trace.Trace`;
+  directly, never inflating a dense :class:`~repro.sim.trace.Trace`.
+  They run once per entry, when ``ResultCache.store()`` writes its
+  ``trace_summary``;
 - :mod:`repro.lake.query` — a small composable query API
-  (``where`` / ``group_by`` / ``agg``) over catalog dimensions;
+  (``where`` / ``group_by`` / ``agg``) over catalog dimensions; kernel
+  aggregates fold the stored summaries, so a query reads the catalog
+  and opens trace files only for entries stored without a summary;
 - :mod:`repro.lake.regress` — regression diffing between two code
   versions' entries for the same logical specs;
 - :mod:`repro.lake.benchhist` — ``BENCH_engine.json`` snapshot history
@@ -57,10 +61,12 @@ from repro.lake.kernels import (
     dense_freq_histogram,
     dense_migrations,
     freq_histogram,
+    kernel_aggregates,
     merge_segments,
     migrations,
     residency,
     residency_counts,
+    trace_summary,
 )
 from repro.lake.query import LakeQuery, QueryResult
 from repro.lake.regress import diff_versions, render_diff
@@ -80,6 +86,7 @@ __all__ = [
     "diff_versions",
     "freq_histogram",
     "ingest_bench",
+    "kernel_aggregates",
     "load_history",
     "merge_segments",
     "migrations",
@@ -88,4 +95,5 @@ __all__ = [
     "report_payload",
     "residency",
     "residency_counts",
+    "trace_summary",
 ]

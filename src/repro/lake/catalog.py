@@ -21,7 +21,12 @@ Design choices, deliberate and load-bearing:
   them in ``lake.catalog.skipped_lines``.
 - **Rebuildable.**  The log is a cache of the cache: ``rebuild()``
   re-derives every record by scanning ``<root>/<version>/<key>/
-  result.json``, so a lost or stale catalog is never fatal.
+  result.json``, so a lost or stale catalog is never fatal.  That
+  includes each traced entry's ``trace_summary`` (its lake kernel
+  aggregates), which ``result.json`` carries — so queries read the
+  catalog alone, and a rebuild never opens a trace file.
+- **Optional fields stay schema 1.**  ``trace_summary`` is absent from
+  traceless and older entries; readers go through ``.get``.
 
 Incremental maintenance happens inside
 :meth:`repro.runner.cache.ResultCache.store` / ``evict`` via
@@ -87,6 +92,11 @@ def _chip_id(chip: Any) -> str:
     return str(chip)
 
 
+def _summary(blob: dict[str, Any]) -> Optional[dict[str, Any]]:
+    summary = blob.get("trace_summary")
+    return summary if isinstance(summary, dict) else None
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """One cache entry's indexed identity, dimensions, and metrics."""
@@ -108,6 +118,10 @@ class CatalogEntry:
     nbytes: int = 0
     metrics: dict[str, Any] = field(default_factory=dict)
     scheduler_params: dict[str, Any] = field(default_factory=dict)
+    #: The stored trace's kernel aggregates
+    #: (:func:`repro.lake.kernels.trace_summary`), or ``None`` for a
+    #: traceless entry or one written before summaries existed.
+    trace_summary: Optional[dict[str, Any]] = None
 
     def dim(self, name: str) -> Any:
         """Resolve one query dimension (column) of this entry.
@@ -130,7 +144,7 @@ class CatalogEntry:
         return getattr(self, name)
 
     def to_record(self) -> dict[str, Any]:
-        return {
+        record = {
             "workload": self.workload,
             "kind": self.kind,
             "chip": self.chip,
@@ -146,6 +160,9 @@ class CatalogEntry:
             "nbytes": self.nbytes,
             "metrics": dict(self.metrics),
         }
+        if self.trace_summary is not None:
+            record["trace_summary"] = self.trace_summary
+        return record
 
     @classmethod
     def from_record(
@@ -168,6 +185,7 @@ class CatalogEntry:
             nbytes=int(entry.get("nbytes", 0)),
             metrics=dict(entry.get("metrics") or {}),
             scheduler_params=dict(entry.get("scheduler_params") or {}),
+            trace_summary=_summary(entry),
         )
 
     @classmethod
@@ -209,6 +227,7 @@ class CatalogEntry:
             nbytes=nbytes,
             metrics=metrics,
             scheduler_params=params,
+            trace_summary=_summary(payload),
         )
 
 

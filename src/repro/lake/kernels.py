@@ -19,6 +19,12 @@ inputs, and each per-run product ``float32_value * run_length`` is exact
 in float64 (24-bit significand × run length < 2^53), so summing per-run
 products and summing per-tick values round to the same float.
 
+Kernels run once per cache entry, at store time:
+:func:`trace_summary` bundles every kernel's mergeable output and
+``ResultCache.store`` writes it into ``result.json``, where the catalog
+picks it up.  Lake queries fold those summaries and reopen a trace file
+only for an entry stored without one (written by an older version).
+
 The multi-row kernels need per-tick conjunctions of *independently*
 run-length-encoded rows (e.g. "any core of the cluster busy").  That is
 :func:`merge_segments`: the union of all rows' run boundaries splits the
@@ -29,7 +35,7 @@ value per segment — still O(runs), never O(ticks).
 from __future__ import annotations
 
 from math import fsum
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -48,6 +54,8 @@ __all__ = [
     "dense_freq_histogram",
     "dense_migrations",
     "dense_cluster_energy",
+    "kernel_aggregates",
+    "trace_summary",
 ]
 
 
@@ -297,7 +305,7 @@ def dense_cluster_energy(trace: Trace) -> dict[str, float]:
     }
 
 
-def kernel_aggregates(rle: RLETrace) -> dict[str, object]:
+def kernel_aggregates(rle: RLETrace) -> dict[str, Any]:
     """Every kernel over one trace — the per-entry unit of a lake query."""
     return {
         "residency_little": residency_counts(rle, CoreType.LITTLE),
@@ -307,3 +315,24 @@ def kernel_aggregates(rle: RLETrace) -> dict[str, object]:
         "migrations": migrations(rle),
         "energy": cluster_energy(rle),
     }
+
+
+def trace_summary(rle: RLETrace) -> dict[str, Any]:
+    """:func:`kernel_aggregates` plus the trace duration, in JSON form.
+
+    The per-entry ``trace_summary`` of ``result.json`` and the catalog.
+    OPP keys are strings and residency pairs are ``[counts, n_active]``
+    lists — what a JSON round trip yields anyway — so a summary computed
+    on the spot and one read back from disk are interchangeable.
+    ``duration_s`` is ``n_ticks * tick_s``; floats survive JSON exactly.
+    """
+    aggs = kernel_aggregates(rle)
+    summary: dict[str, Any] = {"duration_s": rle.n_ticks * rle.tick_s}
+    for key, value in aggs.items():
+        if key.startswith("residency_"):
+            counts, n_active = value
+            value = [{str(khz): t for khz, t in counts.items()}, n_active]
+        elif key.startswith("freq_hist_"):
+            value = {str(khz): t for khz, t in value.items()}
+        summary[key] = value
+    return summary

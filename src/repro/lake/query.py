@@ -35,10 +35,16 @@ Aggregate specs:
 ``energy``
     per-cluster and system energy (mJ), :func:`math.fsum`-combined.
 
-Kernel aggregates need a stored trace.  RLE entries feed the kernels
-directly (``LazyTrace.rle`` — never inflated); dense ``.npz`` entries
-are re-encoded in memory via :meth:`RLETrace.from_trace`; entries with
-no trace (``trace_policy="none"``) are skipped and counted in
+Kernel aggregates fold each entry's ``trace_summary`` — the kernel
+outputs computed once, when ``ResultCache.store`` wrote the entry — so
+a query costs O(catalog lines) and opens no trace file.  An entry stored
+without a summary (by an older version) gets one computed on the spot
+from its trace file, counted in ``lake.query.trace_loads``: RLE files
+feed the kernels directly (``LazyTrace.rle`` — never inflated), dense
+``.npz`` files are re-encoded in memory via :meth:`RLETrace.from_trace`.
+A trace file that cannot be read is skipped with a warning and counted
+in ``lake.query.corrupt``; entries with no trace
+(``trace_policy="none"``) are skipped and counted in
 ``lake.query.skipped_no_trace``.
 """
 
@@ -51,15 +57,17 @@ from math import fsum
 from typing import Any, Optional
 
 from repro.lake.catalog import Catalog, CatalogEntry
-from repro.lake.kernels import (
-    cluster_energy,
-    freq_histogram,
-    migrations,
-    residency_counts,
-)
+from repro.lake.kernels import trace_summary
+from repro.obs.logsetup import get_logger
 from repro.obs.metrics import global_metrics
-from repro.platform.coretypes import CoreType
-from repro.sim.traceio import LazyTrace, RLETrace, load_trace_lazy
+from repro.sim.traceio import (
+    TRACE_READ_ERRORS,
+    LazyTrace,
+    RLETrace,
+    load_trace_lazy,
+)
+
+log = get_logger("lake.query")
 
 __all__ = ["LakeQuery", "QueryResult", "SCALAR_AGGS", "KERNEL_AGGS"]
 
@@ -80,6 +88,8 @@ def _entry_rle(entry: CatalogEntry, root: str) -> Optional[RLETrace]:
     materialization (nothing RLE existed to densify).
     """
     entry_dir = os.path.join(root, entry.version, entry.spec_key)
+    if entry.trace_format is not None:
+        global_metrics().counter("lake.query.trace_loads").inc()
     if entry.trace_format == "rle":
         trace = load_trace_lazy(os.path.join(entry_dir, "trace.rle"))
         assert isinstance(trace, LazyTrace)
@@ -91,6 +101,30 @@ def _entry_rle(entry: CatalogEntry, root: str) -> Optional[RLETrace]:
     return None
 
 
+def _entry_summary(entry: CatalogEntry, root: str) -> Optional[dict[str, Any]]:
+    """The entry's kernel aggregates, or ``None`` if it stored no trace.
+
+    Read from the catalog when the entry has a ``trace_summary``;
+    otherwise computed from the trace file, which raises one of
+    :data:`~repro.sim.traceio.TRACE_READ_ERRORS` if the file is corrupt.
+    """
+    if entry.trace_summary is not None:
+        return entry.trace_summary
+    rle = _entry_rle(entry, root)
+    return trace_summary(rle) if rle is not None else None
+
+
+def _merge_khz(acc: dict[int, int], counts: dict[Any, int]) -> None:
+    """Add per-OPP tick counts into ``acc``, keyed by integer kHz.
+
+    Summary keys are JSON strings; sorting them as strings would put
+    1000000 before 800000.
+    """
+    for khz, ticks in counts.items():
+        key = int(khz)
+        acc[key] = acc.get(key, 0) + ticks
+
+
 class _KernelAcc:
     """Cross-entry accumulator for one group's kernel aggregates."""
 
@@ -98,6 +132,7 @@ class _KernelAcc:
         self.specs = specs
         self.entries = 0
         self.skipped = 0
+        self.corrupt = 0
         self.duration_s = 0.0
         self.residency: dict[str, tuple[dict[int, int], int]] = {
             "little": ({}, 0), "big": ({}, 0),
@@ -108,26 +143,23 @@ class _KernelAcc:
             "little_mj": [], "big_mj": [], "system_mj": [],
         }
 
-    def add(self, rle: RLETrace) -> None:
+    def add(self, summary: dict[str, Any]) -> None:
         self.entries += 1
-        self.duration_s += rle.n_ticks * rle.tick_s
-        for cluster, core_type in (("little", CoreType.LITTLE), ("big", CoreType.BIG)):
+        self.duration_s += summary["duration_s"]
+        for cluster in ("little", "big"):
             if f"residency:{cluster}" in self.specs:
-                counts, n_active = residency_counts(rle, core_type)
+                counts, n_active = summary[f"residency_{cluster}"]
                 acc, total = self.residency[cluster]
-                for khz, ticks in counts.items():
-                    acc[khz] = acc.get(khz, 0) + ticks
+                _merge_khz(acc, counts)
                 self.residency[cluster] = (acc, total + n_active)
             if f"freq_hist:{cluster}" in self.specs:
-                hist = self.freq_hist[cluster]
-                for khz, ticks in freq_histogram(rle, core_type).items():
-                    hist[khz] = hist.get(khz, 0) + ticks
+                _merge_khz(self.freq_hist[cluster], summary[f"freq_hist_{cluster}"])
         if "migrations" in self.specs:
-            m = migrations(rle)
+            m = summary["migrations"]
             for k in ("up", "down", "total"):
                 self.migrations[k] += m[k]
         if "energy" in self.specs:
-            e = cluster_energy(rle)
+            e = summary["energy"]
             for k, parts in self.energy.items():
                 parts.append(e[k])
 
@@ -183,14 +215,19 @@ class QueryResult:
     agg_specs: tuple[str, ...]
     rows: list[dict[str, Any]]
     skipped_no_trace: int = 0
+    #: Entries whose trace file could not be read (skipped, not fatal).
+    corrupt: int = 0
 
     def to_jsonable(self) -> dict[str, Any]:
-        return {
+        payload = {
             "group_by": list(self.group_dims),
             "agg": list(self.agg_specs),
             "rows": self.rows,
             "skipped_no_trace": self.skipped_no_trace,
         }
+        if self.corrupt:  # absent when clean: clean queries' JSON is unchanged
+            payload["corrupt"] = self.corrupt
+        return payload
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_jsonable(), indent=indent, sort_keys=True)
@@ -216,6 +253,11 @@ class QueryResult:
         if self.skipped_no_trace:
             text += (
                 f"\n({self.skipped_no_trace} entries without a stored trace "
+                "skipped by kernel aggregates)"
+            )
+        if self.corrupt:
+            text += (
+                f"\n({self.corrupt} entries with an unreadable trace file "
                 "skipped by kernel aggregates)"
             )
         return text
@@ -287,6 +329,7 @@ class LakeQuery:
 
         kernel_specs = [s for s in self._aggs if s in KERNEL_AGGS]
         skipped_total = 0
+        corrupt_total = 0
         rows: list[dict[str, Any]] = []
         for key in sorted(groups):
             members = groups[key]
@@ -294,12 +337,22 @@ class LakeQuery:
             acc = _KernelAcc(kernel_specs) if kernel_specs else None
             if acc is not None:
                 for entry in members:
-                    rle = _entry_rle(entry, self.catalog.root)
-                    if rle is None:
-                        acc.skipped += 1
+                    try:
+                        summary = _entry_summary(entry, self.catalog.root)
+                    except TRACE_READ_ERRORS as exc:
+                        log.warning(
+                            "lake query: skipping %s/%s (%s), unreadable "
+                            "trace file: %s", entry.version, entry.spec_key,
+                            entry.workload, exc,
+                        )
+                        acc.corrupt += 1
                     else:
-                        acc.add(rle)
+                        if summary is None:
+                            acc.skipped += 1
+                        else:
+                            acc.add(summary)
                 skipped_total += acc.skipped
+                corrupt_total += acc.corrupt
             kernel_out = acc.results() if acc is not None else {}
             for spec in self._aggs:
                 if spec == "count":
@@ -312,9 +365,12 @@ class LakeQuery:
             rows.append(row)
         if skipped_total:
             reg.counter("lake.query.skipped_no_trace").inc(skipped_total)
+        if corrupt_total:
+            reg.counter("lake.query.corrupt").inc(corrupt_total)
         return QueryResult(
             group_dims=self._groups,
             agg_specs=self._aggs,
             rows=rows,
             skipped_no_trace=skipped_total,
+            corrupt=corrupt_total,
         )

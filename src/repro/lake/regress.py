@@ -9,8 +9,10 @@ from the cache:
 
 - scalar metric deltas (energy, power, duration, headline metric) per
   common spec,
-- aggregate big-cluster residency deltas for specs with RLE traces on
-  both sides (computed by the no-densify kernels),
+- aggregate big-cluster residency deltas for specs with a stored trace
+  (RLE or dense) on both sides, read from each entry's
+  ``trace_summary`` (the no-densify kernels' output, computed at store
+  time; entries stored without one are summarized from the trace file),
 - specs present on only one side (new/removed coverage).
 
 ``biglittle lake diff 1.1.0 1.2.0`` is the CLI face of this module.
@@ -23,10 +25,12 @@ from math import fsum
 from typing import Any, Optional
 
 from repro.lake.catalog import Catalog, CatalogEntry
-from repro.lake.kernels import residency_counts
-from repro.lake.query import _entry_rle
+from repro.lake.query import _entry_summary
+from repro.obs.logsetup import get_logger
 from repro.obs.metrics import global_metrics
-from repro.platform.coretypes import CoreType
+from repro.sim.traceio import TRACE_READ_ERRORS
+
+log = get_logger("lake.regress")
 
 __all__ = ["diff_versions", "render_diff"]
 
@@ -61,15 +65,20 @@ def _metric_deltas(
 
 
 def _big_residency(entry: CatalogEntry, root: str) -> Optional[dict[int, float]]:
-    if entry.trace_format != "rle":
+    try:
+        summary = _entry_summary(entry, root)
+    except TRACE_READ_ERRORS as exc:
+        log.warning(
+            "lake diff: no residency for %s/%s, unreadable trace file: %s",
+            entry.version, entry.spec_key, exc,
+        )
         return None
-    rle = _entry_rle(entry, root)
-    if rle is None:
+    if summary is None:
         return None
-    counts, n_active = residency_counts(rle, CoreType.BIG)
+    counts, n_active = summary["residency_big"]
     if n_active == 0:
         return {}
-    return {khz: 100.0 * ticks / n_active for khz, ticks in counts.items()}
+    return {int(khz): 100.0 * ticks / n_active for khz, ticks in counts.items()}
 
 
 def _residency_delta(

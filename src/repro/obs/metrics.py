@@ -359,6 +359,8 @@ def attach_collector(bus: EventBus, collector: Optional[MetricsCollector] = None
 #:   lake asserts its queries keep this flat (no densification),
 #: - ``lake.*`` — trace-lake activity: ``lake.queries`` /
 #:   ``lake.query.entries`` / ``lake.query.skipped_no_trace``,
+#:   ``lake.query.trace_loads`` (trace files opened for entries stored
+#:   without a ``trace_summary``) / ``lake.query.corrupt``,
 #:   ``lake.kernel_runs`` + ``lake.kernel.<name>``, ``lake.diffs``,
 #:   ``lake.catalog.appends`` / ``append_errors`` / ``rebuilds`` /
 #:   ``skipped_lines``, ``lake.bench.ingests`` / ``dup_ingests``.

@@ -4,7 +4,10 @@ Layout: ``<root>/<repro.__version__>/<spec_key>/`` holding
 
 - ``result.json`` — the spec manifest plus the scalar metrics and any
   in-worker reduction payloads (serialized through
-  :func:`repro.experiments.serialize.to_jsonable`),
+  :func:`repro.experiments.serialize.to_jsonable`), and for a traced
+  result its ``trace_summary``: the lake kernel aggregates
+  (:func:`repro.lake.kernels.trace_summary`), computed once here so
+  lake queries never reopen the trace file,
 - ``trace.npz`` — the dense simulation trace via
   :mod:`repro.sim.traceio`, **or**
 - ``trace.rle`` — the run-length-encoded columnar form, written when
@@ -38,15 +41,16 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
-from zipfile import BadZipFile
+from typing import Any, Optional
 
 import repro
 from repro.obs.logsetup import get_logger
 from repro.obs.metrics import TRANSPORT_BUCKETS_BYTES, global_metrics
 from repro.runner.spec import RunResult, RunSpec
 from repro.sim.traceio import (
+    TRACE_READ_ERRORS,
     LazyTrace,
+    RLETrace,
     load_trace,
     load_trace_lazy,
     save_trace,
@@ -101,6 +105,21 @@ def _publish(tmp: str, entry: str, attempts: int = 3) -> bool:
             if attempt == attempts - 1:
                 raise
     return False
+
+
+def _trace_summary(trace: Any) -> Optional[dict[str, Any]]:
+    """The lake kernel aggregates of a stored trace (``None`` if traceless).
+
+    Taken from the RLE form without inflating: a
+    :class:`~repro.sim.traceio.LazyTrace` hands over its payload, a dense
+    trace is encoded.
+    """
+    if trace is None:
+        return None
+    from repro.lake.kernels import trace_summary
+
+    rle = trace.rle if isinstance(trace, LazyTrace) else RLETrace.from_trace(trace)
+    return trace_summary(rle)
 
 
 @dataclass
@@ -195,10 +214,7 @@ class ResultCache:
                 trace = load_trace_lazy(rle_path)
             elif os.path.isfile(trace_path):
                 trace = load_trace(trace_path)
-        except (OSError, ValueError, KeyError, EOFError, BadZipFile) as exc:
-            # numpy's npz reader surfaces truncation as BadZipFile or
-            # EOFError rather than OSError, depending on where the file
-            # was cut.
+        except TRACE_READ_ERRORS as exc:
             self._corrupt(spec, f"unreadable trace file ({exc})")
             return None
         try:
@@ -219,6 +235,8 @@ class ResultCache:
 
         A :class:`~repro.sim.traceio.LazyTrace` is written in its RLE
         form directly — storing a compressed result never inflates it.
+        A traced result also gets its ``trace_summary`` in
+        ``result.json``, which the lake catalog indexes.
         """
         entry = self.entry_dir(spec)
         parent = os.path.dirname(entry)
@@ -230,6 +248,9 @@ class ResultCache:
                 "spec": spec.manifest(),
                 "result": result.scalars(),
             }
+            summary = _trace_summary(result.trace)
+            if summary is not None:
+                payload["trace_summary"] = summary
             with open(os.path.join(tmp, self.RESULT_FILE), "w") as f:
                 json.dump(payload, f, indent=2, sort_keys=True)
             if isinstance(result.trace, LazyTrace):

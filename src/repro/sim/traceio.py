@@ -29,6 +29,7 @@ import json
 import os
 from dataclasses import dataclass
 from typing import Union
+from zipfile import BadZipFile
 
 import numpy as np
 
@@ -39,6 +40,12 @@ FORMAT_VERSION = 2  # dense; v2 added per-cluster CPU power and wakeup counts
 RLE_FORMAT_VERSION = 3  # run-length-encoded columnar format
 
 PathArg = Union[str, "os.PathLike[str]"]
+
+#: What loading a truncated, bit-rotted or hand-edited trace file can
+#: raise.  numpy's npz reader surfaces truncation as ``BadZipFile`` or
+#: ``EOFError`` rather than ``OSError``, depending on where the file was
+#: cut; header and shape checks raise ``ValueError``/``KeyError``.
+TRACE_READ_ERRORS = (OSError, ValueError, KeyError, EOFError, BadZipFile)
 
 #: The trace columns in canonical order: (name, rows) where ``rows`` is
 #: ``None`` for 1-D columns and the source of the row count otherwise.

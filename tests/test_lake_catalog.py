@@ -269,6 +269,26 @@ class TestDiffVersions:
         text = render_diff(payload)
         assert "avg_power_mw" in text and "1.0.0 -> 2.0.0" in text
 
+    def test_diff_reports_residency_shift_for_dense_entries(self, tmp_path):
+        # trace_policy="full" entries store trace.npz; their summaries
+        # carry big-cluster residency just as RLE entries' do.
+        root = str(tmp_path)
+        spec = RunSpec("bbench", seed=3, max_seconds=1.0)
+        result = execute_spec(spec)
+        ResultCache(root=root, version="1.0.0").store(spec, result)
+        # Version B: same spec and scalars, a trace with other residency.
+        other = execute_spec(RunSpec("video-player", seed=3, max_seconds=1.0))
+        ResultCache(root=root, version="2.0.0").store(
+            spec, dataclasses.replace(result, trace=other.trace)
+        )
+        catalog = Catalog(root=root)
+        assert {e.trace_format for e in catalog.entries()} == {"npz"}
+        payload = diff_versions(catalog, "1.0.0", "2.0.0")
+        (record,) = payload["changed"]
+        assert record["metrics"] == {}
+        assert record["big_residency_delta"]["total_abs_pp"] > 0.0
+        assert "big residency shift" in render_diff(payload)
+
     def test_identical_versions_diff_clean(self, two_version_root):
         spec = RunSpec("video-player", seed=3, max_seconds=1.0, trace_policy="rle")
         result = ResultCache(root=two_version_root, version="1.0.0").load(spec)
