@@ -247,7 +247,6 @@ def bench_batch_transport(quick: bool, sim_seconds: float | None = None):
                 "warm_wall_s": warm_s,
                 "cache_hits_warm": warm_report.cache_hits,
                 "transport_bytes": report.transport_bytes,
-                "shm_bytes": report.shm_bytes,
                 "result_pickle_bytes": result_pickle_bytes,
                 "cache_bytes_written": cache.stats.bytes_written,
                 "peak_worker_rss_kb": resource.getrusage(

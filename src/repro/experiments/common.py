@@ -7,7 +7,7 @@ from typing import Optional
 from repro.platform.chip import ChipSpec, CoreConfig, exynos5422
 from repro.platform.coretypes import CoreType
 from repro.sched.governor import FixedFrequencyGovernor, Governor
-from repro.sched.params import SchedulerConfig, baseline_config
+from repro.sched.params import baseline_config
 from repro.sim.engine import SimConfig, Simulator
 from repro.sim.trace import Trace
 from repro.workloads.spec import SpecBenchmark
@@ -94,7 +94,3 @@ def relative_change_pct(new: float, base: float) -> float:
     if base == 0:
         raise ZeroDivisionError("baseline value is zero")
     return 100.0 * (new - base) / base
-
-
-def default_scheduler() -> SchedulerConfig:
-    return baseline_config()

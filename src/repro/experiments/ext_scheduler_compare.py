@@ -54,9 +54,6 @@ class SchedulerCompareResult:
     def perf_change_pct(self) -> dict[str, float]:
         return self.by_scheduler["efficiency"]["perf"]
 
-    def max_abs_perf_change(self) -> float:
-        return max(abs(v) for v in self.perf_change_pct.values())
-
     def render(self) -> str:
         parts = []
         for sched_name, tables in self.by_scheduler.items():

@@ -87,9 +87,6 @@ class EvaluatedPoint:
     def is_full(self) -> bool:
         return self.fidelity >= 1.0
 
-    def eval_key(self) -> str:
-        return _eval_key(self.spec_keys)
-
 
 def _eval_key(spec_keys: Sequence[str]) -> str:
     return hashlib.sha256("|".join(spec_keys).encode()).hexdigest()[:16]

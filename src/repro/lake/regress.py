@@ -20,7 +20,6 @@ from the cache:
 
 from __future__ import annotations
 
-import json
 from math import fsum
 from typing import Any, Optional
 
@@ -174,7 +173,3 @@ def render_diff(payload: dict[str, Any]) -> str:
     if not payload["changed"]:
         lines.append("  no metric or residency changes detected")
     return "\n".join(lines)
-
-
-def diff_to_json(payload: dict[str, Any], indent: int = 2) -> str:
-    return json.dumps(payload, indent=indent, sort_keys=True)

@@ -347,8 +347,6 @@ def attach_collector(bus: EventBus, collector: Optional[MetricsCollector] = None
 #:   and result count shipped back from pool workers (array payload;
 #:   RLE results count their encoded size),
 #: - ``runner.transport.result_bytes`` — per-result payload histogram,
-#: - ``runner.shm.bytes`` — dense bytes moved via the shared-memory
-#:   fast path instead of the pickle stream,
 #: - ``trace.rle.inflations`` / ``trace.rle.inflated_bytes`` — lazy
 #:   traces materialized on first dense access,
 #: - ``cache.entry_bytes`` (histogram), ``cache.bytes_written`` /

@@ -31,7 +31,6 @@ from repro.runner.batch import (
     BatchRunner,
     JobRecord,
     JobTimeout,
-    SERIAL_ENV,
     run_specs,
 )
 from repro.runner.cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
@@ -70,7 +69,6 @@ __all__ = [
     "RunResult",
     "RunSpec",
     "RunnerEvent",
-    "SERIAL_ENV",
     "STATUS_CACHED",
     "STATUS_FAILED",
     "STATUS_OK",

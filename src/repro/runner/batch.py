@@ -6,7 +6,7 @@ experiment in the repository.  It consults the on-disk
 hands the remaining work to a pluggable :class:`~repro.runner.executors.
 Executor` backend, and returns results **in spec order** regardless of
 completion order — so every backend is bit-identical to the serial
-inline path (``workers=1`` or ``REPRO_RUNNER_SERIAL=1``).
+inline path (``workers=1`` or ``executor="serial"``).
 
 Backends (see :mod:`repro.runner.executors`):
 
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.obs.metrics import TRANSPORT_BUCKETS_BYTES, global_metrics
@@ -67,11 +67,6 @@ from repro.runner.executors import (  # noqa: F401  (re-exported: public API + t
     make_executor,
 )
 from repro.runner.spec import RunResult, RunSpec
-
-#: Setting this to ``1`` forces the serial inline path regardless of
-#: ``workers`` — the escape hatch for debugging and for provably
-#: pool-free reference runs.
-SERIAL_ENV = "REPRO_RUNNER_SERIAL"
 
 #: Job statuses recorded in a :class:`JobRecord`.
 STATUS_OK = "ok"
@@ -106,8 +101,6 @@ class BatchReport:
     #: Trace-payload bytes that crossed the worker→parent pickle stream
     #: (0 for serial/inline runs and for cache hits).
     transport_bytes: int = 0
-    #: Dense trace bytes moved via the shared-memory fast path instead.
-    shm_bytes: int = 0
 
     @property
     def n_jobs(self) -> int:
@@ -148,46 +141,6 @@ class BatchReport:
             raise RuntimeError(
                 f"{len(failures)}/{self.n_jobs} batch jobs failed: {detail}"
             )
-
-    @classmethod
-    def merge(cls, reports: Sequence["BatchReport"]) -> "BatchReport":
-        """Aggregate reports from several executors into one.
-
-        Jobs (and their results) are re-ordered by ``(label, spec_key)``
-        — *not* arrival order, which differs between executors and runs
-        — and re-indexed, so a merged report is deterministic no matter
-        which backend finished first.  Equal-key duplicates (the same
-        spec run by two executors) keep their input order, so the merge
-        is stable.  ``transport_bytes``/``shm_bytes`` and the cache
-        counters are summed; ``wall_s`` is the maximum (the executors
-        ran concurrently); ``workers`` is the sum of the backends'
-        parallelism.
-        """
-        pairs: list[tuple[str, str, JobRecord, Optional[RunResult]]] = []
-        for report in reports:
-            for job in report.jobs:
-                result = (
-                    report.results[job.index]
-                    if 0 <= job.index < len(report.results)
-                    else None
-                )
-                pairs.append((job.label, job.spec_key, job, result))
-        pairs.sort(key=lambda p: (p[0], p[1]))
-        jobs: list[JobRecord] = []
-        results: list[Optional[RunResult]] = []
-        for i, (_label, _key, job, result) in enumerate(pairs):
-            jobs.append(replace(job, index=i))
-            results.append(result)
-        return cls(
-            results=results,
-            jobs=jobs,
-            workers=sum(r.workers for r in reports),
-            wall_s=max((r.wall_s for r in reports), default=0.0),
-            cache_hits=sum(r.cache_hits for r in reports),
-            cache_misses=sum(r.cache_misses for r in reports),
-            transport_bytes=sum(r.transport_bytes for r in reports),
-            shm_bytes=sum(r.shm_bytes for r in reports),
-        )
 
     def render(self) -> str:
         from repro.core.report import render_table
@@ -235,8 +188,8 @@ class BatchRunner:
 
     Args:
         workers: process count; ``None`` uses ``os.cpu_count()``; ``1``
-            (or ``REPRO_RUNNER_SERIAL=1``) selects the serial inline
-            path, which produces bit-identical results.
+            selects the serial inline path, which produces bit-identical
+            results.
         cache: a :class:`ResultCache`, ``True`` for the default cache
             directory, or ``None``/``False`` to disable caching.
         timeout_s: per-job wall-clock budget (``None`` = unlimited).
@@ -255,7 +208,7 @@ class BatchRunner:
             a ``tcp://host:port`` endpoint that starts a
             :class:`repro.dist.Coordinator` for remote ``biglittle
             worker`` processes.  ``None`` (default) picks serial or
-            pool from ``workers``/``REPRO_RUNNER_SERIAL``.
+            pool from ``workers``.
     """
 
     def __init__(
@@ -287,7 +240,6 @@ class BatchRunner:
         self.cohorts = cohorts
         self.executor = executor
         self._transport_bytes = 0
-        self._shm_bytes = 0
 
     # -- public API ---------------------------------------------------------
 
@@ -297,19 +249,13 @@ class BatchRunner:
         n = len(spec_list)
         results: list[Optional[RunResult]] = [None] * n
         records: list[Optional[JobRecord]] = [None] * n
-        serial = (
-            self.executor is None
-            and (self.workers == 1 or os.environ.get(SERIAL_ENV) == "1")
-        ) or self.executor == "serial"
         executor, owned = make_executor(
             self.executor,
             self.workers,
-            serial,
             cache_root=self.cache.root if self.cache is not None else None,
         )
         serial = isinstance(executor, SerialExecutor)
         self._transport_bytes = 0
-        self._shm_bytes = 0
         t0 = time.monotonic()
 
         try:
@@ -357,7 +303,6 @@ class BatchRunner:
                     cache_hits=cache_hits,
                     cache_misses=len(pending),
                     transport_bytes=self._transport_bytes,
-                    shm_bytes=self._shm_bytes,
                 )
                 sink.emit(
                     "batch_done",
@@ -435,18 +380,11 @@ class BatchRunner:
     # -- outcome bookkeeping ------------------------------------------------
 
     def _account_transport(self, result: RunResult) -> None:
-        """Record one transported result's payload size; rehydrate shm traces.
+        """Record one transported result's trace-payload size.
 
         Called only when results crossed a process boundary (pool or
-        distributed backends; serial/inline results never do).  A
-        ``"shm"``-policy result arrives as a
-        :class:`~repro.runner.shm.ShmTraceHandle`; it is converted
-        back to a dense :class:`~repro.sim.trace.Trace` here — before
-        caching — and its bytes are charged to ``runner.shm.bytes``
-        rather than the pickle-transport counters.
+        distributed backends; serial/inline results never do).
         """
-        from repro.runner.shm import ShmTraceHandle
-
         payload = result.transport_nbytes()
         reg = global_metrics()
         reg.counter("runner.transport.results").inc()
@@ -455,11 +393,6 @@ class BatchRunner:
             "runner.transport.result_bytes", TRANSPORT_BUCKETS_BYTES
         ).observe(payload)
         self._transport_bytes += payload
-        if isinstance(result.trace, ShmTraceHandle):
-            handle = result.trace
-            self._shm_bytes += handle.total_nbytes
-            reg.counter("runner.shm.bytes").inc(handle.total_nbytes)
-            result.trace = handle.to_trace()
 
     def _finish_ok(
         self,

@@ -57,7 +57,7 @@ def group_indices(specs: Sequence[RunSpec]) -> list[list[int]]:
 FOLD_ROUND_REPS = 8
 
 
-def _run_one(spec: RunSpec, in_pool: bool, fold: bool):
+def _run_one(spec: RunSpec, fold: bool):
     """Simulate one spec to completion; returns ``(result, witness)``.
 
     Each run is finalized before the next is prepared, so at most one
@@ -66,11 +66,11 @@ def _run_one(spec: RunSpec, in_pool: bool, fold: bool):
     prepared = prepare_app_run(spec)
     witness = sweepfold.install_witness(prepared.sim) if fold else None
     prepared.sim.run()
-    result = finalize_result(spec, finish_app_run(prepared), in_pool=in_pool)
+    result = finalize_result(spec, finish_app_run(prepared))
     return result, witness
 
 
-def execute_cohort(specs: Sequence[RunSpec], in_pool: bool = False) -> list[RunResult]:
+def execute_cohort(specs: Sequence[RunSpec]) -> list[RunResult]:
     """Run one group of specs, folding what fold families allow.
 
     Returns one :class:`RunResult` per spec, in input order, each
@@ -93,7 +93,7 @@ def execute_cohort(specs: Sequence[RunSpec], in_pool: bool = False) -> list[RunR
     for group in group_indices(specs):
         if len(group) < 2:
             (i,) = group
-            results[i], _ = _run_one(specs[i], in_pool, fold=False)
+            results[i], _ = _run_one(specs[i], fold=False)
         else:
             unresolved[sweepfold.fold_key(specs[group[0]])] = group
 
@@ -105,7 +105,7 @@ def execute_cohort(specs: Sequence[RunSpec], in_pool: bool = False) -> list[RunR
                 rep_family[i] = key
         witnesses = {}
         for i in rep_family:
-            results[i], witnesses[i] = _run_one(specs[i], in_pool, fold=True)
+            results[i], witnesses[i] = _run_one(specs[i], fold=True)
 
         # Fold: each representative's witness interval resolves every
         # still-unresolved family member it covers.

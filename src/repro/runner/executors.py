@@ -3,9 +3,9 @@
 The runner used to hard-code two execution paths (an inline loop and a
 ``ProcessPoolExecutor`` wave loop).  Both now live behind one small
 :class:`Executor` protocol — ``submit`` work groups, ``poll`` for
-completions, ``cancel`` what has not started — so the same driver loop
-in :class:`~repro.runner.batch.BatchRunner` also runs distributed
-sweeps through :class:`repro.dist.DistExecutor` without knowing it.
+completions — so the same driver loop in
+:class:`~repro.runner.batch.BatchRunner` also runs distributed sweeps
+through :class:`repro.dist.DistExecutor` without knowing it.
 
 A *group* is what the runner hands an executor in one ``submit`` call:
 either a single :class:`~repro.runner.spec.RunSpec` or a whole cohort
@@ -27,7 +27,7 @@ Executor contract:
   the runner charges those one attempt and may resubmit, exactly like
   the historical ``BrokenProcessPool`` recovery;
 - ``transported`` tells the runner whether results crossed a process
-  boundary (drives transport accounting and shm rehydration).
+  boundary (drives transport accounting).
 
 The in-process alarm timeout machinery (:func:`_alarmed`,
 :class:`JobTimeout`) and the job entry points (:func:`_execute_job`,
@@ -103,17 +103,13 @@ def _alarmed(fn, timeout_s: Optional[float], label: str):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _execute_job(
-    spec: RunSpec, timeout_s: Optional[float], in_pool: bool = False
-) -> RunResult:
+def _execute_job(spec: RunSpec, timeout_s: Optional[float]) -> RunResult:
     """Execute one spec with an optional in-process alarm timeout."""
-    return _alarmed(
-        lambda: execute_spec(spec, in_pool=in_pool), timeout_s, spec.label()
-    )
+    return _alarmed(lambda: execute_spec(spec), timeout_s, spec.label())
 
 
 def _execute_cohort_job(
-    specs: list[RunSpec], timeout_s: Optional[float], in_pool: bool = False
+    specs: list[RunSpec], timeout_s: Optional[float]
 ) -> list[RunResult]:
     """Execute one cohort (fold family), budgeted at ``timeout_s`` per member.
 
@@ -126,7 +122,7 @@ def _execute_cohort_job(
 
     budget = timeout_s * len(specs) if timeout_s else timeout_s
     label = f"cohort[{len(specs)}] {specs[0].label()}"
-    return _alarmed(lambda: execute_cohort(specs, in_pool=in_pool), budget, label)
+    return _alarmed(lambda: execute_cohort(specs), budget, label)
 
 
 @dataclass
@@ -150,7 +146,7 @@ class Executor:
     #: Whether cohort (multi-spec) groups may be submitted whole.
     supports_cohorts = True
     #: Whether results cross a process boundary on their way back (the
-    #: runner then does transport accounting + shm rehydration).
+    #: runner then does transport accounting).
     transported = True
 
     def parallelism(self) -> int:
@@ -165,10 +161,6 @@ class Executor:
     def poll(self) -> list[Completion]:
         """Block until at least one completion is ready, return all ready."""
         raise NotImplementedError
-
-    def cancel(self, token: int) -> bool:
-        """Best-effort: drop a not-yet-started group; True if dropped."""
-        return False
 
     def outstanding(self) -> int:
         raise NotImplementedError
@@ -187,7 +179,7 @@ class SerialExecutor(Executor):
     """Inline execution in the calling process, one group per ``poll``.
 
     The bit-identical reference path (``workers=1`` /
-    ``REPRO_RUNNER_SERIAL=1``): nothing crosses a process boundary, and
+    ``executor="serial"``): nothing crosses a process boundary, and
     groups execute in FIFO submit order.
     """
 
@@ -216,13 +208,6 @@ class SerialExecutor(Executor):
         except Exception as exc:
             return [Completion(token, error=exc)]
         return [Completion(token, payload=payload)]
-
-    def cancel(self, token: int) -> bool:
-        for item in self._queue:
-            if item[0] == token:
-                self._queue.remove(item)
-                return True
-        return False
 
     def outstanding(self) -> int:
         return len(self._queue)
@@ -267,9 +252,9 @@ class PoolExecutor(Executor):
         while self._staged:
             token, specs, timeout_s = self._staged.popleft()
             if len(specs) > 1:
-                fut = self._pool.submit(_execute_cohort_job, specs, timeout_s, True)
+                fut = self._pool.submit(_execute_cohort_job, specs, timeout_s)
             else:
-                fut = self._pool.submit(_execute_job, specs[0], timeout_s, True)
+                fut = self._pool.submit(_execute_job, specs[0], timeout_s)
             self._futures[fut] = token
 
     def poll(self) -> list[Completion]:
@@ -312,17 +297,6 @@ class PoolExecutor(Executor):
                 pool.shutdown(wait=False)
         return completions
 
-    def cancel(self, token: int) -> bool:
-        for item in self._staged:
-            if item[0] == token:
-                self._staged.remove(item)
-                return True
-        for fut, tok in list(self._futures.items()):
-            if tok == token and fut.cancel():
-                del self._futures[fut]
-                return True
-        return False
-
     def outstanding(self) -> int:
         return len(self._staged) + len(self._futures)
 
@@ -337,7 +311,6 @@ class PoolExecutor(Executor):
 def make_executor(
     spec: object,
     workers: int,
-    serial: bool,
     cache_root: Optional[str] = None,
 ) -> tuple[Executor, bool]:
     """Resolve a ``BatchRunner`` ``executor=`` argument to an instance.
@@ -348,8 +321,8 @@ def make_executor(
     :class:`repro.dist.DistExecutor` over a long-lived coordinator stay
     open across runs.
 
-    ``spec`` may be ``None`` (pick serial or pool from ``serial`` /
-    ``workers``), an :class:`Executor` instance, or a string:
+    ``spec`` may be ``None`` (serial when ``workers == 1``, else a
+    pool), an :class:`Executor` instance, or a string:
     ``"serial"``, ``"pool"``, or a ``tcp://host:port`` endpoint — the
     latter starts a :class:`repro.dist.Coordinator` listening there and
     waits for remote ``biglittle worker`` processes to connect.
@@ -357,7 +330,7 @@ def make_executor(
     if isinstance(spec, Executor):
         return spec, False
     if spec is None:
-        if serial:
+        if workers == 1:
             return SerialExecutor(), True
         return PoolExecutor(workers), True
     if isinstance(spec, str):

@@ -53,11 +53,8 @@ from repro.workloads.mobile import make_app
 #: - ``"rle"``: ship the run-length-encoded form; the parent sees a
 #:   :class:`~repro.sim.traceio.LazyTrace` that inflates on first
 #:   dense access;
-#: - ``"none"``: drop the trace — only scalars and reductions return;
-#: - ``"shm"``: in pool workers, park the dense arrays in shared memory
-#:   and ship a handle (the parent rebuilds a dense trace); inline runs
-#:   keep the trace as-is since nothing crosses a process boundary.
-TRACE_POLICIES = ("full", "rle", "none", "shm")
+#: - ``"none"``: drop the trace — only scalars and reductions return.
+TRACE_POLICIES = ("full", "rle", "none")
 
 # ---------------------------------------------------------------------------
 # Chip registry
@@ -353,17 +350,15 @@ class RunResult:
         """Bytes the trace payload costs on the worker→parent pickle path.
 
         Dense traces cost their array bytes, RLE traces their encoded
-        payload, shm handles and dropped traces (``"none"``) nothing —
-        the scalar/reduction envelope is negligible and uncounted.
+        payload, dropped traces (``"none"``) nothing — the
+        scalar/reduction envelope is negligible and uncounted.
         """
         trace = self.trace
         if trace is None:
             return 0
         if isinstance(trace, LazyTrace):
             return trace.payload_nbytes
-        if isinstance(trace, Trace):
-            return trace.nbytes
-        return 0  # e.g. a ShmTraceHandle awaiting rehydration
+        return trace.nbytes
 
     def performance_value(self) -> float:
         """The app's headline metric: latency (s) or average FPS."""
@@ -506,15 +501,12 @@ def resolve_kind(kind: str) -> Callable[[RunSpec], RunResult]:
     )
 
 
-def finalize_result(spec: RunSpec, result: RunResult, in_pool: bool = False) -> RunResult:
+def finalize_result(spec: RunSpec, result: RunResult) -> RunResult:
     """Apply the spec's reductions and trace policy to a fresh result.
 
     Runs in the executing process, *before* anything is pickled back:
-    reductions see the dense trace, and the trace is then dropped,
-    RLE-encoded, or parked in shared memory per ``spec.trace_policy``.
-    The ``"shm"`` policy only converts when ``in_pool`` is set — inline
-    (serial) execution has no process boundary to cross, so the dense
-    trace is simply kept.
+    reductions see the dense trace, and the trace is then dropped or
+    RLE-encoded per ``spec.trace_policy``.
     """
     if spec.reductions and result.trace is not None and result.reductions is None:
         from repro.core.reductions import compute_reductions
@@ -530,13 +522,9 @@ def finalize_result(spec: RunSpec, result: RunResult, in_pool: bool = False) -> 
         result.trace = None
     elif policy == "rle" and isinstance(result.trace, Trace):
         result.trace = LazyTrace.from_trace(result.trace)
-    elif policy == "shm" and in_pool and isinstance(result.trace, Trace):
-        from repro.runner.shm import ShmTraceHandle
-
-        result.trace = ShmTraceHandle.from_trace(result.trace)
     return result
 
 
-def execute_spec(spec: RunSpec, in_pool: bool = False) -> RunResult:
+def execute_spec(spec: RunSpec) -> RunResult:
     """Execute one spec in the current process (pool workers call this)."""
-    return finalize_result(spec, resolve_kind(spec.kind)(spec), in_pool=in_pool)
+    return finalize_result(spec, resolve_kind(spec.kind)(spec))

@@ -110,11 +110,9 @@ def fold_key(spec: RunSpec) -> Optional[str]:
     Specs sharing a key are identical simulations except for
     ``governor.down_threshold`` / ``governor.hold_ms`` (and the
     display-only scheduler name), so a witness interval from one
-    resolves the others.  ``"shm"`` traces are excluded: a fold clones
-    results, and cloning a shared-memory handle would alias its
-    lifetime.
+    resolves the others.
     """
-    if spec.kind != "app" or spec.trace_policy == "shm":
+    if spec.kind != "app":
         return None
     manifest = spec.manifest()
     sched = dict(manifest["scheduler"])

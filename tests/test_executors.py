@@ -1,16 +1,15 @@
-"""Unit tests for the pluggable executor backends and report merging.
+"""Unit tests for the pluggable executor backends.
 
 The :class:`~repro.runner.executors.Executor` protocol is the seam the
 distributed backend plugs into; these tests pin the local halves — the
-serial and process-pool backends, backend resolution in
-``make_executor``, and :meth:`BatchReport.merge`'s deterministic
-ordering — without any sockets involved (``tests/test_dist.py`` covers
-the TCP side).
+serial and process-pool backends and backend resolution in
+``make_executor`` — without any sockets involved (``tests/test_dist.py``
+covers the TCP side).
 """
 
 import pytest
 
-from repro.runner.batch import BatchReport, BatchRunner, JobRecord
+from repro.runner.batch import BatchRunner
 from repro.runner.executors import (
     Executor,
     PoolExecutor,
@@ -122,27 +121,27 @@ def test_pool_executor_runs_groups():
 
 
 def test_make_executor_resolution():
-    ex, owned = make_executor(None, workers=4, serial=True)
+    ex, owned = make_executor(None, workers=1)
     assert isinstance(ex, SerialExecutor) and owned
 
-    ex, owned = make_executor(None, workers=4, serial=False)
+    ex, owned = make_executor(None, workers=4)
     assert isinstance(ex, PoolExecutor) and owned
     assert ex.parallelism() == 4
     ex.close()
 
-    ex, owned = make_executor("serial", workers=4, serial=False)
+    ex, owned = make_executor("serial", workers=4)
     assert isinstance(ex, SerialExecutor) and owned
 
-    ex, owned = make_executor("pool", workers=2, serial=True)
+    ex, owned = make_executor("pool", workers=1)
     assert isinstance(ex, PoolExecutor) and owned
     ex.close()
 
     shared = SerialExecutor()
-    ex, owned = make_executor(shared, workers=4, serial=False)
+    ex, owned = make_executor(shared, workers=4)
     assert ex is shared and not owned
 
     with pytest.raises(ValueError):
-        make_executor("carrier-pigeon", workers=1, serial=False)
+        make_executor("carrier-pigeon", workers=1)
 
 
 def test_runner_accepts_executor_instance_and_does_not_close_it():
@@ -154,71 +153,3 @@ def test_runner_accepts_executor_instance_and_does_not_close_it():
     # one coordinator for global dedup.
     report2 = BatchRunner(cache=None, executor=shared).run([_spec(3)])
     assert report2.succeeded()
-
-
-# ---------------------------------------------------------------------------
-# BatchReport.merge
-# ---------------------------------------------------------------------------
-
-
-def _report(labels, *, workers=1, wall_s=1.0, hits=0, misses=0,
-            transport=0, shm=0):
-    jobs = []
-    results = []
-    for i, label in enumerate(labels):
-        spec = RunSpec(label, kind=OK_KIND, max_seconds=1.0)
-        jobs.append(JobRecord(
-            index=i, spec_key=spec.key(), label=label, status="ok",
-            attempts=1, duration_s=0.1,
-        ))
-        results.append(RunResult(
-            spec_key=spec.key(), workload=label, metric="fps",
-            duration_s=0.01, avg_power_mw=100.0, energy_mj=1.0, avg_fps=60.0,
-        ))
-    return BatchReport(
-        results=results, jobs=jobs, workers=workers, wall_s=wall_s,
-        cache_hits=hits, cache_misses=misses, transport_bytes=transport,
-        shm_bytes=shm,
-    )
-
-
-def test_merge_orders_by_label_not_arrival():
-    merged = BatchReport.merge([
-        _report(["delta", "bravo"], workers=2, wall_s=3.0, hits=1,
-                transport=10),
-        _report(["alpha", "charlie"], workers=4, wall_s=5.0, misses=2,
-                transport=32, shm=8),
-    ])
-    assert [j.label for j in merged.jobs] == [
-        "alpha", "bravo", "charlie", "delta",
-    ]
-    # Re-indexed densely, and each job's result rides along with it.
-    assert [j.index for j in merged.jobs] == [0, 1, 2, 3]
-    for job in merged.jobs:
-        assert merged.results[job.index].workload == job.label
-    assert merged.workers == 6
-    assert merged.wall_s == 5.0  # max: the executors ran concurrently
-    assert merged.cache_hits == 1
-    assert merged.cache_misses == 2
-    assert merged.transport_bytes == 42
-    assert merged.shm_bytes == 8
-
-
-def test_merge_is_stable_for_duplicate_specs():
-    a = _report(["same", "same"])
-    b = _report(["same"])
-    b.results[0].energy_mj = 99.0  # tag report b's copy
-    merged = BatchReport.merge([a, b])
-    assert [j.label for j in merged.jobs] == ["same"] * 3
-    # Stable sort: a's two copies first, then b's tagged copy.
-    assert [r.energy_mj for r in merged.results] == [1.0, 1.0, 99.0]
-
-
-def test_merge_empty_and_identity():
-    empty = BatchReport.merge([])
-    assert empty.n_jobs == 0 and empty.wall_s == 0.0
-
-    one = _report(["alpha", "bravo"], workers=3, wall_s=2.0)
-    merged = BatchReport.merge([one])
-    assert [j.label for j in merged.jobs] == ["alpha", "bravo"]
-    assert merged.workers == 3 and merged.wall_s == 2.0

@@ -133,9 +133,8 @@ class TestSerialParallelIdentity:
         report = BatchRunner(workers=4).run(specs)
         assert [r.spec_key for r in report.results] == [s.key() for s in specs]
 
-    def test_serial_env_forces_inline(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_SERIAL", "1")
-        report = BatchRunner(workers=8).run(SMALL_SPECS[:1])
+    def test_serial_env_forces_inline(self):
+        report = BatchRunner(workers=8, executor="serial").run(SMALL_SPECS[:1])
         assert report.workers == 1
         assert report.succeeded()
 

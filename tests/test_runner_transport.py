@@ -63,10 +63,9 @@ def test_policy_rle_is_lazy_and_bit_exact(full_result):
     assert_trace_matches(result.trace.materialize(), full_result.trace)
 
 
-def test_policy_shm_only_inside_pool(full_result):
-    # Outside a worker, "shm" degrades to the plain dense trace.
-    result = execute_spec(spec_for("shm"), in_pool=False)
-    assert_trace_matches(result.trace, full_result.trace)
+def test_unknown_trace_policy_rejected():
+    with pytest.raises(ValueError, match="valid: full, rle, none$"):
+        RunSpec("bbench", trace_policy="shm")
 
 
 # -- batch runner: serial and parallel, with transport accounting ------------
@@ -82,30 +81,23 @@ def test_batch_policies_bit_identical(tmp_path, full_result, workers):
         spec_for("full", seed=4),
         spec_for("rle", seed=4),
         spec_for("none", seed=4),
-        spec_for("shm", seed=4),
     ])
     report.raise_on_failure()
-    full, rle, none, shm = report.results
+    full, rle, none = report.results
 
     assert_trace_matches(rle.trace, full.trace)
     assert none.trace is None
-    # shm arrives as a handle in the parallel path and is rehydrated by
-    # the runner; serially it is already dense.
-    assert_trace_matches(shm.trace, full.trace)
-    for result in (rle, none, shm):
+    for result in (rle, none):
         assert result.reduction("tlp") == full.reduction("tlp")
 
     if workers > 1:
         # rle + full both cross the pool with payloads; none is free.
         assert report.transport_bytes > 0
-        assert report.shm_bytes > 0
         snap = global_metrics().snapshot()
-        assert snap.counter("runner.transport.results") == 4
+        assert snap.counter("runner.transport.results") == 3
         assert snap.counter("runner.transport.bytes") == report.transport_bytes
-        assert snap.counter("runner.shm.bytes") == report.shm_bytes
     else:
         assert report.transport_bytes == 0
-        assert report.shm_bytes == 0
 
 
 def test_rle_cache_roundtrip_stays_lazy(tmp_path):
