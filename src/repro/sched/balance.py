@@ -13,21 +13,18 @@ from typing import Optional
 
 from repro.obs.events import EventBus, TaskMigrated
 from repro.sim.core import SimCore
-from repro.sim.task import TaskState
 
 
-def counts_balanced(cores: list[SimCore]) -> bool:
-    """True when runnable counts within the group differ by less than two.
+def counts_balanced(counts: list[int]) -> bool:
+    """True when one group's runnable counts differ by less than two.
 
     The balancer below only moves tasks when some pair of cores differs
-    by >= 2, so a group satisfying this predicate is provably untouched
-    by :func:`balance_cluster` — the engine's busy fast-forward uses it
-    to certify that whole spans need no balancing passes.
+    by >= 2, so a group whose counts satisfy this predicate is provably
+    untouched by :func:`balance_cluster` — the HMP tick skips the pass
+    on it, and the engine's busy fast-forward uses it to certify that
+    whole spans need no balancing passes.
     """
-    if len(cores) < 2:
-        return True
-    counts = [c.nr_running() for c in cores]
-    return max(counts) - min(counts) < 2
+    return len(counts) < 2 or max(counts) - min(counts) < 2
 
 
 def least_loaded(cores: list[SimCore]) -> SimCore:
@@ -57,7 +54,7 @@ def balance_cluster(
     # Cheap pre-check: the loop below would pick src/dst maximizing and
     # minimizing (nr_running, ...) and stop immediately when the counts
     # differ by less than two — the common all-balanced tick.
-    if counts_balanced(cores):
+    if counts_balanced([c.nr_running() for c in cores]):
         return 0
     moves = 0
     while moves < max_moves:
@@ -65,10 +62,9 @@ def balance_cluster(
         dst = least_loaded(cores)
         if src.nr_running() - dst.nr_running() < 2:
             break
-        candidates = [t for t in src.runqueue if t.state is TaskState.RUNNABLE]
         # Move the lightest runnable task: it disturbs cache affinity the
         # least and is what idle pull typically steals.
-        task = min(candidates, key=lambda t: (t.load.value, t.tid))
+        task = min(src.runqueue, key=lambda t: (t.load.value, t.tid))
         src.dequeue(task)
         dst.enqueue(task)
         if obs is not None:

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.runner import (
     resolve_kind,
     run_specs,
 )
+from repro.runner.spec import spec_from_wire, spec_to_wire
 from repro.sched.params import baseline_config, variant_configs
 
 #: A cheap grid: two core configs of one FPS app, 1 s of simulated time.
@@ -95,6 +98,22 @@ class TestRunSpec:
         c = RunSpec("bbench", chip=exynos5422(screen_on=True))
         assert a.key() == b.key()
         assert a.key() != c.key()
+
+    def test_key_memo_stays_out_of_identity(self):
+        def make():
+            return RunSpec("bbench", core_config="L2+B1", seed=4, trace_policy="rle")
+
+        spec, twin = make(), make()
+        key = spec.key()
+        assert spec.key() is key  # computed once per instance
+        assert spec_from_wire(spec_to_wire(spec)).key() == key
+        assert spec == twin and hash(spec) == hash(twin)
+        assert spec_to_wire(spec) == spec_to_wire(twin)
+        assert pickle.dumps(spec) == pickle.dumps(twin)
+        assert pickle.loads(pickle.dumps(spec)).key() == key
+        assert replace(spec, seed=5).key() == RunSpec(
+            "bbench", core_config="L2+B1", seed=5, trace_policy="rle"
+        ).key()
 
     def test_manifest_is_json_serializable(self):
         spec = RunSpec("bbench", chip=exynos5422(), scheduler=baseline_config())
