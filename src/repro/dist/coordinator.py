@@ -395,15 +395,25 @@ class Coordinator:
                 log.warning("worker %s lost: %s", worker.worker_id, exc)
         finally:
             if worker is not None:
-                with self._cv:
-                    self._workers.pop(worker.worker_id, None)
-                    self._cv.notify_all()
-                self._count("dist.workers_disconnected", 1)
-                self._emit("worker_lost", worker=worker.worker_id)
+                self._drop_worker(worker)
             try:
                 conn.close()
             except OSError:
                 pass
+
+    def _drop_worker(self, worker: _WorkerState) -> None:
+        """Unregister ``worker`` and count its disconnect, once.
+
+        A worker lost mid-job is dropped before its job is requeued, so
+        anyone who sees the requeued job finish also sees the disconnect.
+        """
+        with self._cv:
+            if self._workers.get(worker.worker_id) is not worker:
+                return
+            del self._workers[worker.worker_id]
+            self._cv.notify_all()
+        self._count("dist.workers_disconnected", 1)
+        self._emit("worker_lost", worker=worker.worker_id)
 
     def _worker_loop(self, worker: _WorkerState) -> None:
         while True:
@@ -417,11 +427,13 @@ class Coordinator:
             try:
                 self._dispatch(worker, job)
             except _WorkerLost as exc:
+                self._drop_worker(worker)
                 self._requeue_or_fail(job, str(exc) or "connection lost")
                 raise
             except ProtocolError as exc:
                 # A worker speaking garbage mid-job is as good as lost,
                 # but the job itself may be fine on another worker.
+                self._drop_worker(worker)
                 self._requeue_or_fail(job, f"protocol error: {exc}")
                 raise _WorkerLost(str(exc)) from None
             except Exception as exc:  # pragma: no cover - coordinator bug
@@ -429,6 +441,7 @@ class Coordinator:
                 # stranded: give it back to the queue and drop this
                 # worker connection.
                 log.exception("dispatch failed for job %d", job.job_id)
+                self._drop_worker(worker)
                 self._requeue_or_fail(job, f"dispatch error: {exc!r}")
                 raise _WorkerLost(repr(exc)) from exc
 
