@@ -263,6 +263,7 @@ def render_summary(snapshot: MetricsSnapshot) -> str:
             "input_boosts", "thermal_caps", "cluster_switches",
             "tasks.spawned", "tasks.finished", "tasks.blocked", "tasks.woken",
             "fastforward.spans", "fastforward.ticks",
+            "fastforward.busy_spans", "fastforward.busy_ticks",
         )
         if name in snapshot.counters
     ]

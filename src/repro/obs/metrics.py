@@ -13,7 +13,9 @@ decision-event stream into the registry:
   transition matrix (Figures 9-10 territory),
 - ``residency_ticks.<cluster>.<khz>`` — ticks spent at each OPP,
   derived from the change events plus the run length,
-- the ``fastforward_span_ticks`` histogram of idle fast-forward spans.
+- ``fastforward.spans``/``ticks`` (idle spans) and
+  ``fastforward.busy_spans``/``busy_ticks`` (busy spans), and the
+  ``fastforward_span_ticks`` histogram of both kinds.
 
 The residency and transition numbers are, by construction, consistent
 with the run's :class:`~repro.sim.trace.Trace` frequency columns —
@@ -241,6 +243,10 @@ class MetricsCollector:
     (:meth:`set_initial_freqs`, done by ``Observation.attach``) and the
     final tick count (:meth:`finalize`); everything else is pure event
     folding.
+
+    ``fastforward.spans``/``ticks`` count idle spans only, and
+    ``fastforward.busy_spans``/``busy_ticks`` busy ones, whereas
+    ``Simulator.fastforward_spans``/``fastforward_ticks`` count both.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):

@@ -73,17 +73,16 @@ class Trace:
     ) -> None:
         """Record ``n_ticks`` consecutive ticks sharing one set of values.
 
-        The bulk-append twin of :meth:`record`, used by the engine's idle
-        and busy fast-forwards to backfill a piecewise-constant span in
-        one vectorized assignment per column.  Values land in the arrays
+        The bulk-append twin of :meth:`record`, used by the engine's
+        fast-forward replay to backfill a piecewise-constant span in one
+        vectorized assignment per column.  Values land in the arrays
         exactly as ``n_ticks`` individual :meth:`record` calls would
         (identical float32 casts), so fast-forwarded traces stay
         bit-exact with tick-by-tick recording.
 
         ``busy_fraction`` is either one scalar applied to every core
-        (the idle case) or a length-``n_cores`` sequence of per-core
-        fractions held constant across the span (the busy steady-state
-        case).
+        (an idle span) or a length-``n_cores`` sequence of per-core
+        fractions held constant across the span (a busy span).
         """
         if n_ticks <= 0:
             raise ValueError(f"n_ticks must be positive, got {n_ticks}")

@@ -85,8 +85,8 @@ class TestGoldenTraceEquivalence:
         def make_config():
             extra = dict(kwargs)
             if app == "social-feed":
-                # Ondemand has no idle_tick_span override, exercising the
-                # base replay loop.
+                # Ondemand has no tick_span override, exercising the
+                # base idle replay loop.
                 extra["governors"] = {
                     CoreType.LITTLE: OndemandGovernor(),
                     CoreType.BIG: OndemandGovernor(),

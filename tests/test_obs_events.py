@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs import Observation
 from repro.obs.events import (
+    BusyFastForward,
     ClusterSwitched,
     EventBus,
     FreqChanged,
@@ -129,14 +130,28 @@ class TestEngineEmissions:
                 yield Work(0.002)
                 yield Sleep(1.0)
 
-        sim = Simulator(SimConfig(max_seconds=10.0))
-        obs = Observation.attach(sim)
-        sim.spawn(Task("standby", _standby, COMPUTE_BOUND))
-        sim.run()
-        spans = obs.bus.of_type(IdleFastForward)
-        assert sim.fastforward_spans > 0, "standby run must fast-forward"
-        assert len(spans) == sim.fastforward_spans
-        assert sum(e.n_ticks for e in spans) == sim.fastforward_ticks
+        def _compute_then_standby(ctx):
+            yield Work(2.0)
+            yield from _standby(ctx)
+
+        # A standby run takes idle spans only; a compute-bound phase
+        # before it adds busy spans.
+        for behavior, takes_busy in ((_standby, False), (_compute_then_standby, True)):
+            sim = Simulator(SimConfig(max_seconds=10.0))
+            obs = Observation.attach(sim)
+            sim.spawn(Task("standby", behavior, COMPUTE_BOUND))
+            sim.run()
+            idle = obs.bus.of_type(IdleFastForward)
+            busy = obs.bus.of_type(BusyFastForward)
+            assert sim.fastforward_spans > 0, "standby run must fast-forward"
+            assert (sim.busy_fastforward_spans > 0) == takes_busy
+            assert len(busy) == sim.busy_fastforward_spans
+            assert sum(e.n_ticks for e in busy) == sim.busy_fastforward_ticks
+            assert idle
+            assert len(idle) == sim.fastforward_spans - sim.busy_fastforward_spans
+            assert sum(e.n_ticks for e in idle) == (
+                sim.fastforward_ticks - sim.busy_fastforward_ticks
+            )
 
     def test_input_boost_events(self):
         from dataclasses import replace

@@ -154,6 +154,27 @@ class TestRenderSummary:
         assert "big cluster OPP residency" in text
         assert "total" in text
 
+    def test_summary_lists_busy_fastforward_counters(self):
+        from repro.platform.perfmodel import COMPUTE_BOUND
+        from repro.sim.task import Task, Work
+
+        def _spin(ctx):
+            while True:
+                yield Work(50.0)
+
+        sim = Simulator(SimConfig(max_seconds=2.0))
+        obs = Observation.attach(sim)
+        sim.spawn(Task("spin", _spin, COMPUTE_BOUND))
+        sim.run()
+        assert sim.busy_fastforward_spans > 0
+        rows = dict(
+            line.split()
+            for line in render_summary(obs.snapshot()).splitlines()
+            if line.strip().startswith("fastforward.")
+        )
+        assert rows["fastforward.busy_spans"] == str(sim.busy_fastforward_spans)
+        assert rows["fastforward.busy_ticks"] == str(sim.busy_fastforward_ticks)
+
     def test_summary_of_empty_snapshot_is_harmless(self):
         from repro.obs.metrics import MetricsSnapshot
 

@@ -149,16 +149,30 @@ class TestCollectorTraceConsistency:
                 yield Work(0.002)
                 yield Sleep(1.0)
 
-        sim = Simulator(SimConfig(max_seconds=10.0))
-        obs = Observation.attach(sim)
-        sim.spawn(Task("standby", _standby, COMPUTE_BOUND))
-        sim.run()
-        snap = obs.snapshot()
-        assert snap.counter("fastforward.spans") == sim.fastforward_spans
-        assert snap.counter("fastforward.ticks") == sim.fastforward_ticks
-        hist = snap.histograms["fastforward_span_ticks"]
-        assert hist["count"] == sim.fastforward_spans
-        assert hist["sum"] == sim.fastforward_ticks
+        def _compute_then_standby(ctx):
+            yield Work(2.0)
+            yield from _standby(ctx)
+
+        # ``fastforward.spans``/``ticks`` count idle spans, the ``busy_``
+        # pair busy ones; the histogram covers both kinds.
+        for behavior, takes_busy in ((_standby, False), (_compute_then_standby, True)):
+            sim = Simulator(SimConfig(max_seconds=10.0))
+            obs = Observation.attach(sim)
+            sim.spawn(Task("standby", behavior, COMPUTE_BOUND))
+            sim.run()
+            snap = obs.snapshot()
+            assert (sim.busy_fastforward_spans > 0) == takes_busy
+            assert snap.counter("fastforward.spans") == (
+                sim.fastforward_spans - sim.busy_fastforward_spans
+            )
+            assert snap.counter("fastforward.ticks") == (
+                sim.fastforward_ticks - sim.busy_fastforward_ticks
+            )
+            assert snap.counter("fastforward.busy_spans") == sim.busy_fastforward_spans
+            assert snap.counter("fastforward.busy_ticks") == sim.busy_fastforward_ticks
+            hist = snap.histograms["fastforward_span_ticks"]
+            assert hist["count"] == sim.fastforward_spans
+            assert hist["sum"] == sim.fastforward_ticks
 
     def test_total_ticks_gauge(self):
         sim, obs, trace = _observed_run(seconds=2.0)

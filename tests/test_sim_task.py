@@ -215,6 +215,36 @@ class TestSignalling:
         sim.run()
         assert len(joined) == 1
 
+    @pytest.mark.parametrize("fastpath", [False, True])
+    def test_rewait_on_channel_drained_in_same_pass(self, fastpath):
+        """A task woken from B that waits on A, which the same wake-up pass
+        drained, is still woken by A's next post."""
+        sim = make_sim(max_seconds=1.0, fastpath=fastpath)
+        chan_a = sim.channel("A")
+        chan_b = sim.channel("B")
+        resumed = []
+
+        def a(ctx):
+            yield WaitSignal(chan_a)
+
+        def b(ctx):
+            yield WaitSignal(chan_b)
+            yield WaitSignal(chan_a)
+            resumed.append(ctx.now_s)
+
+        def poster(ctx):
+            chan_a.post()
+            chan_b.post()
+            yield Sleep(0.05)
+            chan_a.post()
+
+        for name, behavior in (("a", a), ("b", b), ("poster", poster)):
+            sim.spawn(Task(name, behavior, COMPUTE_BOUND))
+        sim.run()
+        assert resumed and resumed[0] >= 0.05
+        assert chan_a.permits == 0 and not chan_a.waiters
+        assert not sim._watched_channels
+
     def test_immediately_available_permits_do_not_block(self):
         sim = make_sim()
         chan = sim.channel("c")
