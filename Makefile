@@ -1,6 +1,6 @@
 # Convenience targets for the biglittle-repro repository.
 
-.PHONY: install test bench bench-quick bench-regression check-cache-budget dist-smoke artifacts calibrate examples clean
+.PHONY: install test bench check-cache-budget dist-smoke artifacts calibrate examples clean
 
 install:
 	pip install -e .
@@ -10,18 +10,6 @@ test:
 
 bench:
 	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
-
-# Fast-path vs reference engine comparison plus the batch-transport
-# result-pipeline scenario; writes BENCH_engine.json.
-bench-quick:
-	PYTHONPATH=src python scripts/bench_engine.py --quick --compare BENCH_engine.json --out BENCH_engine.json
-
-# Blocking CI gate: a fresh quick bench must not regress past the
-# committed BENCH_engine.json (absolute speedup floors + relative
-# tolerances + determinism checks; see scripts/check_bench_regression.py).
-bench-regression:
-	PYTHONPATH=src python scripts/bench_engine.py --quick --out BENCH_fresh.json
-	PYTHONPATH=src python scripts/check_bench_regression.py BENCH_fresh.json --baseline BENCH_engine.json
 
 # Blocking CI gate: cached trace.npz / trace.rle entries stay in budget.
 check-cache-budget:

@@ -12,7 +12,6 @@ Usage::
     biglittle sweep coreconfig --workers 8   # fig07/08 on all cores
     biglittle lake query --where workload=bbench \
         --group-by scheduler --agg count,mean:avg_power_mw,migrations
-    biglittle lake report --ingest BENCH_engine.json
 
 Results (tables, JSON) go to **stdout**; progress and "written to"
 notices go to the ``repro`` logger on **stderr** (``-v`` / ``-q``
@@ -466,25 +465,6 @@ def _cmd_lake_diff(args: argparse.Namespace) -> int:
     return 0 if payload["common_specs"] else 1
 
 
-def _cmd_lake_report(args: argparse.Namespace) -> int:
-    from repro.lake import ingest_bench, render_report, report_payload
-
-    if args.ingest:
-        record = ingest_bench(args.ingest, args.history, label=args.label)
-        if record is None:
-            log.info("%s already ingested (same fingerprint), skipping", args.ingest)
-        else:
-            log.info("ingested %s as %r", args.ingest, record["label"])
-    print(render_report(args.history))
-    if args.json:
-        import json as _json
-
-        with open(args.json, "w") as fh:
-            _json.dump(report_payload(args.history), fh, indent=2, sort_keys=True)
-        log.info("report payload written to %s", args.json)
-    return 0
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -740,22 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--cache-dir", default=None,
                         help="result-cache root (default: ~/.cache/repro-runner)")
     p_diff.set_defaults(func=_cmd_lake_diff)
-
-    p_report = lake_sub.add_parser(
-        "report",
-        help="perf-regression dashboard from the bench-snapshot history",
-    )
-    p_report.add_argument("--history", metavar="PATH", default="bench_history.jsonl",
-                          help="history log (default: ./bench_history.jsonl)")
-    p_report.add_argument("--ingest", metavar="BENCH_JSON", default=None,
-                          help="first ingest a BENCH_engine.json snapshot "
-                               "(idempotent: duplicate fingerprints skipped)")
-    p_report.add_argument("--label", default=None,
-                          help="label for the ingested snapshot "
-                               "(default: repro.__version__)")
-    p_report.add_argument("--json", metavar="PATH", default=None,
-                          help="also write the dashboard payload as JSON")
-    p_report.set_defaults(func=_cmd_lake_report)
 
     return parser
 

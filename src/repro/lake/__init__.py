@@ -22,9 +22,7 @@ store:
   aggregates fold the stored summaries, so a query reads the catalog
   and opens trace files only for entries stored without a summary;
 - :mod:`repro.lake.regress` — regression diffing between two code
-  versions' entries for the same logical specs;
-- :mod:`repro.lake.benchhist` — ``BENCH_engine.json`` snapshot history
-  and the perf-regression dashboard behind ``biglittle lake report``.
+  versions' entries for the same logical specs.
 
 Quickstart::
 
@@ -42,13 +40,6 @@ Quickstart::
     print(rows.render())
 """
 
-from repro.lake.benchhist import (
-    BENCH_HISTORY_FILE,
-    ingest_bench,
-    load_history,
-    render_report,
-    report_payload,
-)
 from repro.lake.catalog import (
     CATALOG_FILE,
     CATALOG_SCHEMA_VERSION,
@@ -72,7 +63,6 @@ from repro.lake.query import LakeQuery, QueryResult
 from repro.lake.regress import diff_versions, render_diff
 
 __all__ = [
-    "BENCH_HISTORY_FILE",
     "CATALOG_FILE",
     "CATALOG_SCHEMA_VERSION",
     "Catalog",
@@ -85,14 +75,10 @@ __all__ = [
     "dense_migrations",
     "diff_versions",
     "freq_histogram",
-    "ingest_bench",
     "kernel_aggregates",
-    "load_history",
     "merge_segments",
     "migrations",
     "render_diff",
-    "render_report",
-    "report_payload",
     "residency",
     "residency_counts",
     "trace_summary",

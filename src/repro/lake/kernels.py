@@ -6,8 +6,9 @@ tens of thousands fewer runs than ticks, so cross-run queries over
 hundreds of cache entries stay interactive while dense inflation would
 cost gigabytes.  No kernel ever calls ``to_trace()``; the
 ``trace.materializations`` counter (incremented inside
-:meth:`RLETrace.to_trace`) proves it, and the lake-query benchmark
-asserts the counter stays flat across a full query pass.
+:meth:`RLETrace.to_trace`) proves it, and CI's traced run of the
+``bench/`` ``lake`` workload asserts the counter stays flat across a
+full query pass.
 
 Bit-equality contract: each kernel has a dense twin (``dense_*`` here,
 or the existing :func:`repro.core.residency.frequency_residency`) and

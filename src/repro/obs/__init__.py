@@ -21,8 +21,7 @@ Three layers, composable but independent:
     snap = obs.snapshot()                      # MetricsSnapshot
     export_perfetto("out.json", trace, obs.events)
 
-Also here: :mod:`repro.obs.logsetup` (the CLI/script logging contract)
-and :mod:`repro.obs.timing` (wall-clock phase spans for benchmarks).
+Also here: :mod:`repro.obs.logsetup` (the CLI/script logging contract).
 """
 
 from __future__ import annotations

@@ -367,7 +367,7 @@ def attach_collector(bus: EventBus, collector: Optional[MetricsCollector] = None
 #:   without a ``trace_summary``) / ``lake.query.corrupt``,
 #:   ``lake.kernel_runs`` + ``lake.kernel.<name>``, ``lake.diffs``,
 #:   ``lake.catalog.appends`` / ``append_errors`` / ``rebuilds`` /
-#:   ``skipped_lines``, ``lake.bench.ingests`` / ``dup_ingests``.
+#:   ``skipped_lines``.
 _GLOBAL_REGISTRY = MetricsRegistry()
 
 

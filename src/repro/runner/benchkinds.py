@@ -1,13 +1,14 @@
 """Synthetic run kinds for the result-pipeline benchmarks.
 
-``scripts/bench_engine.py``'s *batch-transport* scenario needs runs
-whose **simulation** is nearly free (so transport, storage, and analysis
-costs dominate the measurement) while the **trace** is long and dense in
-ticks.  A periodic housekeeping workload is exactly that: the idle
-fast-forward engine skips almost every tick, yet a 60 s run still
-yields tens of thousands of trace rows whose columns are long
-piecewise-constant spans — the best case the RLE codec is built for and
-the worst case for shipping dense arrays around.
+The ``bench/`` lake corpus, ``scripts/check_cache_budget.py``,
+``tests/test_lake_summary.py`` and the transport-bytes test in
+``tests/test_runner_transport.py`` need runs whose **simulation** is
+nearly free (so transport, storage, and analysis costs dominate) while
+the **trace** is long and dense in ticks.  A periodic housekeeping
+workload is exactly that: the idle fast-forward engine skips almost
+every tick, yet a 60 s run still yields tens of thousands of trace rows
+whose columns are long piecewise-constant spans — the best case the RLE
+codec is built for and the worst case for shipping dense arrays around.
 
 The kind is registered by dotted path
 (``"repro.runner.benchkinds:run_idle_heavy"``) so pool workers resolve

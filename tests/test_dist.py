@@ -47,6 +47,7 @@ from tests.dist_kinds import (
     OK_KIND,
     SLEEPY_KIND,
 )
+from tests.test_sweepfold import fold_counts, hold_sweep_specs
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -225,6 +226,32 @@ def test_distributed_rle_trace_is_bit_identical():
         remote.trace.materialize().power_mw, local.trace.materialize().power_mw
     )
     assert report.transport_bytes > 0
+
+
+def test_fold_family_travels_as_one_job():
+    """A 64-variant hold sweep is one job; the worker folds it onto 8
+    representatives and returns the pool's scalars for every variant."""
+    specs = hold_sweep_specs()
+    pool = BatchRunner(
+        cache=None, workers=2, cohorts=True, executor="pool"
+    ).run(specs)
+    pool.raise_on_failure()
+    with Coordinator().start() as coord:
+        _, thread = _thread_worker(coord)
+        coord.wait_for_workers(1)
+        reps0, _ = fold_counts()
+        report = BatchRunner(
+            cache=None, cohorts=True, executor=DistExecutor(coord)
+        ).run(specs)
+        reps1, _ = fold_counts()
+        stats = coord.stats()
+    report.raise_on_failure()
+    assert stats["dist.jobs_executed"] == 1
+    assert stats["dist.specs_executed"] == len(specs)
+    assert reps1 - reps0 == 8
+    for local, remote in zip(pool.results, report.results):
+        assert remote.scalars() == local.scalars()
+    thread.join(timeout=5)
 
 
 # ---------------------------------------------------------------------------

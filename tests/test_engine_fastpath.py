@@ -261,7 +261,7 @@ class TestBusyFastForward:
         assert fast.busy_fastforward_ticks > 0
 
     def test_governor_without_span_support_disables_busy_ff(self):
-        """Ondemand has no ``busy_tick_span`` override: the busy fast
+        """Ondemand has no ``tick_span`` override: the busy fast
         path must refuse statically, and traces still match."""
 
         def make_config():
@@ -277,6 +277,50 @@ class TestBusyFastForward:
         assert not fast.busy_fastpath_enabled
         assert fast.busy_fastforward_ticks == 0
         assert_traces_equal(ref, fast)
+
+
+def _install_standby(sim):
+    sim.spawn(Task("standby", standby_behavior, COMPUTE_BOUND))
+
+
+def _install_app(name):
+    return lambda sim: make_app(name).install(sim)
+
+
+class TestFastForwardTickPins:
+    """Each scenario fast-forwards exactly its pinned number of ticks.
+
+    Six scenarios at seed 1: a 1 Hz standby timer, three low-utilization
+    apps whose 60 Hz ambient work bounds spans to a frame, and four
+    never-sleeping compute tasks (short and long).  The fast path must
+    match the reference loop's trace bit for bit, and its
+    fast-forwarded ticks (all spans, then the busy subset) must equal
+    the pinned counts.  The counts are hardware-independent, so a
+    refusal added to the span probe or a shortened span shows here
+    whatever the host's speed.
+    """
+
+    @pytest.mark.parametrize(
+        "install,seconds,ff_ticks,busy_ticks",
+        [
+            (_install_standby, 10.0, 9_940, 0),
+            (_install_app("voice-call"), 4.0, 2_762, 0),
+            (_install_app("video-player"), 4.0, 2_073, 0),
+            (_install_app("browser"), 4.0, 3_038, 0),
+            (_install_spec(4), 2.0, 1_998, 1_998),
+            (_install_spec(4), 10.0, 9_994, 9_994),
+        ],
+        ids=["standby-1hz", "voice-call", "video-player", "browser",
+             "spec-compute", "spec-compute-long"],
+    )
+    def test_fastforward_ticks_pinned(self, install, seconds, ff_ticks, busy_ticks):
+        ref, fast = run_pair(
+            lambda: SimConfig(max_seconds=seconds, seed=1), install
+        )
+        assert_traces_equal(ref, fast)
+        assert (fast.fastforward_ticks, fast.busy_fastforward_ticks) == (
+            ff_ticks, busy_ticks,
+        )
 
 
 class TestDeferredPower:

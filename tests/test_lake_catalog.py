@@ -1,11 +1,11 @@
-"""The trace lake: catalog indexing, queries, version diffing, history.
+"""The trace lake: catalog indexing, queries and version diffing.
 
 Covers the full ``repro.lake`` surface on a real (small) cache:
 incremental ``store()``-time indexing vs full rebuild, the append-only
 fold semantics (evict, last-write-wins, garbage tolerance, merge),
 ``LakeQuery`` filters/group-bys/aggregates, ``diff_versions`` across two
-versions' entries for the same logical specs, the bench history
-dashboard, and the ``biglittle lake`` / ``biglittle cache --stats`` CLI.
+versions' entries for the same logical specs, and the
+``biglittle lake`` / ``biglittle cache --stats`` CLI.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.lake import (
-    CATALOG_SCHEMA_VERSION,
-    Catalog,
-    LakeQuery,
-    ingest_bench,
-    load_history,
-    render_report,
-)
+from repro.lake import CATALOG_SCHEMA_VERSION, Catalog, LakeQuery
 from repro.lake.regress import diff_versions, render_diff
 from repro.obs.metrics import global_metrics, reset_global_metrics
 from repro.runner import BatchRunner, ResultCache, RunSpec, execute_spec
@@ -301,56 +294,6 @@ class TestDiffVersions:
         assert payload["unchanged"] == 1
 
 
-class TestBenchHistory:
-    BENCH = {
-        "quick": True,
-        "seed": 1,
-        "scenarios": [
-            {"scenario": "standby-1hz", "speedup": 40.0,
-             "fastpath": {"ticks_per_sec": 1.0e6}},
-            {"scenario": "browser", "speedup": 2.5,
-             "fastpath": {"ticks_per_sec": 60_000.0}},
-        ],
-        "sweep_lockstep": {"speedup": 4.5, "scalar_mismatches": 0},
-        "batch_transport": {"policies": {
-            "rle": {"speedup_vs_full": 2.4, "bytes_reduction_vs_full": 1200.0},
-        }},
-        "lake_query": {"entries": 200, "catalog_build_s": 0.02,
-                       "queries_per_sec": 4.0, "materializations": 0},
-    }
-
-    def test_ingest_dedup_and_report(self, tmp_path):
-        bench_path = str(tmp_path / "bench.json")
-        history_path = str(tmp_path / "hist.jsonl")
-        with open(bench_path, "w") as fh:
-            json.dump(self.BENCH, fh)
-        record = ingest_bench(bench_path, history_path, label="pr8")
-        assert record is not None and record["label"] == "pr8"
-        assert ingest_bench(bench_path, history_path) is None  # same fingerprint
-        assert len(load_history(history_path)) == 1
-
-        faster = dict(self.BENCH)
-        faster["scenarios"] = [
-            {"scenario": "standby-1hz", "speedup": 50.0,
-             "fastpath": {"ticks_per_sec": 1.3e6}},
-            {"scenario": "browser", "speedup": 2.6,
-             "fastpath": {"ticks_per_sec": 66_000.0}},
-        ]
-        with open(bench_path, "w") as fh:
-            json.dump(faster, fh)
-        assert ingest_bench(bench_path, history_path, label="pr9") is not None
-
-        text = render_report(history_path)
-        assert "2 snapshots" in text
-        assert "pr8 -> pr9" in text
-        assert "standby-1hz" in text
-        assert "+30.0%" in text  # 1.0e6 -> 1.3e6 ticks/s
-        assert "0 densifications" in text
-
-    def test_empty_history_renders_hint(self, tmp_path):
-        assert "no bench history" in render_report(str(tmp_path / "none.jsonl"))
-
-
 class TestLakeCLI:
     def test_lake_index_and_query(self, lake_root, capsys):
         assert main(["lake", "index", "--cache-dir", lake_root]) == 0
@@ -376,18 +319,6 @@ class TestLakeCLI:
         assert {r["workload"] for r in payload["rows"]} == {
             "bbench", "video-player", "browser",
         }
-
-    def test_lake_report_ingest(self, tmp_path, capsys):
-        bench_path = str(tmp_path / "bench.json")
-        with open(bench_path, "w") as fh:
-            json.dump(TestBenchHistory.BENCH, fh)
-        history = str(tmp_path / "hist.jsonl")
-        rc = main([
-            "lake", "report", "--history", history,
-            "--ingest", bench_path, "--label", "smoke",
-        ])
-        assert rc == 0
-        assert "1 snapshots" in capsys.readouterr().out
 
     def test_cache_stats_breakdown(self, lake_root, capsys):
         rc = main(["cache", "--stats", "--cache-dir", lake_root])

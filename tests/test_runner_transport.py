@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import signal
 
 import numpy as np
@@ -118,6 +119,30 @@ def test_rle_cache_roundtrip_stays_lazy(tmp_path):
         cached.trace.materialize(), cold.results[0].trace.materialize()
     )
     assert cached.reduction("tlp") == cold.results[0].reduction("tlp")
+
+
+def test_reduced_policies_ship_far_fewer_bytes():
+    """Reducing at the source shrinks what a result pickles to.
+
+    Sixteen idle-heavy 120 s runs: under ``full`` every dense trace
+    ships and the parent reduces it; under ``rle`` and ``none`` the five
+    reductions run at the source and ship with an RLE trace or none.
+    """
+    reductions = ("tlp", "tlp_matrix", "residency", "efficiency", "power_summary")
+
+    def pickled_bytes(policy):
+        return sum(
+            len(pickle.dumps(execute_spec(RunSpec(
+                "idle-heavy", kind="repro.runner.benchkinds:run_idle_heavy",
+                seed=seed, max_seconds=120.0, trace_policy=policy,
+                reductions=() if policy == "full" else reductions,
+            ))))
+            for seed in range(16)
+        )
+
+    full = pickled_bytes("full")
+    assert full / pickled_bytes("rle") >= 150
+    assert full / pickled_bytes("none") >= 1500
 
 
 # -- SIGALRM hygiene (regression: handler leak / dangling itimer) ------------

@@ -23,6 +23,37 @@ from repro.sched.params import baseline_config
 SEED = 7
 
 
+def hold_sweep_specs():
+    """A 64-variant hold sweep of one app: ``hold_ms`` 34-160 in 2 ms steps.
+
+    The variants differ only in the interactive governor's hold time, so
+    the grid is one fold family.
+    """
+    base = baseline_config()
+    return [
+        RunSpec(
+            "pdf-reader", seed=SEED, max_seconds=1.0, trace_policy="none",
+            reductions=("power_summary",),
+            scheduler=replace(
+                base, name=f"gov-hold-{hold}",
+                governor=replace(base.governor, hold_ms=hold),
+            ),
+        )
+        for hold in range(34, 162, 2)
+    ]
+
+
+def fold_counts():
+    """The process-wide ``(representatives, folded)`` fold counters."""
+    from repro.obs.metrics import global_metrics
+
+    snap = global_metrics().snapshot()
+    return (
+        snap.counter("engine.batch.fold.representatives"),
+        snap.counter("engine.batch.fold.folded"),
+    )
+
+
 class TestSweepWitness:
     def test_down_threshold_interval(self):
         w = sweepfold.SweepWitness()
@@ -96,17 +127,12 @@ class TestSweepFolding:
 
     @pytest.mark.parametrize("observe", [False, True])
     def test_hold_sweep_folds_and_matches_per_run(self, observe):
-        from repro.obs.metrics import global_metrics
-
         specs = self._grid(holds=range(60, 108, 4), observe=observe)  # 12 variants
-        before = global_metrics().snapshot().counter("engine.batch.fold.folded")
+        _, before = fold_counts()
         ref = [execute_spec(s) for s in specs]
         got = execute_cohort(specs)
-        folded = (
-            global_metrics().snapshot().counter("engine.batch.fold.folded")
-            - before
-        )
-        assert folded > 0, "a 4 ms-step hold sweep must fold"
+        _, after = fold_counts()
+        assert after > before, "a 4 ms-step hold sweep must fold"
         self._assert_results_equal(specs, ref, got)
 
     def test_two_axis_grid_matches_per_run(self):
@@ -138,6 +164,25 @@ class TestSweepFolding:
                 for s in specs
             ])
         assert entries[0] == entries[1]
+
+    def test_hold_sweep_folds_onto_eight_representatives(self):
+        """Folding simulates 8 of the 64 variants and clones the other 56.
+
+        A fold that stops resolving members runs more representatives;
+        the per-run scalars pin the clones' values.
+        """
+        from repro.runner import BatchRunner
+
+        specs = hold_sweep_specs()
+        per_run = BatchRunner(workers=1, cohorts=False).run(specs)
+        per_run.raise_on_failure()
+        reps0, folded0 = fold_counts()
+        folded = BatchRunner(workers=1, cohorts=True).run(specs)
+        folded.raise_on_failure()
+        reps1, folded1 = fold_counts()
+        assert (reps1 - reps0, folded1 - folded0) == (8, 56)
+        for a, b in zip(per_run.results, folded.results):
+            assert a.scalars() == b.scalars()
 
 
 class TestCohortJobOrdering:
