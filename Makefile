@@ -11,7 +11,7 @@ test:
 bench:
 	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
-# Blocking CI gate: cached trace.npz / trace.rle entries stay in budget.
+# Blocking CI gate: cached trace.rle entries stay in budget.
 check-cache-budget:
 	PYTHONPATH=src python scripts/check_cache_budget.py
 

@@ -28,4 +28,4 @@ Quickstart::
 # Single source of truth — pyproject.toml reads this attribute
 # (tool.setuptools.dynamic), and repro.runner.cache partitions its
 # on-disk entries by it.  Bump on any change to simulation semantics.
-__version__ = "1.2.1"
+__version__ = "1.3.0"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Optional
 
 from repro.core.report import render_matrix, render_table
 from repro.core.study import CharacterizationStudy
@@ -50,21 +51,42 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
+def _single_app_sim(
+    app_name: str,
+    seed: int,
+    max_seconds: Optional[float] = None,
+    fastpath: bool = True,
+):
+    """``(app, sim)`` for one app on the screen-on Exynos 5422.
+
+    ``max_seconds=None`` applies the app-family convention (12 s FPS
+    steady state, 60 s latency cap).  The app is not installed yet, so
+    observers can attach to ``sim`` before ``app.install(sim)``.
+    """
     from repro.core.study import FPS_APP_SECONDS, LATENCY_APP_CAP_SECONDS
-    from repro.core.taskstats import TaskStatsCollector
     from repro.platform.chip import exynos5422
     from repro.sim.engine import SimConfig, Simulator
     from repro.workloads.base import Metric
     from repro.workloads.mobile import make_app
 
-    app = make_app(args.app)
-    max_seconds = (
-        FPS_APP_SECONDS if app.metric is Metric.FPS else LATENCY_APP_CAP_SECONDS
-    )
+    app = make_app(app_name)
+    if max_seconds is None:
+        max_seconds = (
+            FPS_APP_SECONDS if app.metric is Metric.FPS else LATENCY_APP_CAP_SECONDS
+        )
     sim = Simulator(SimConfig(
-        chip=exynos5422(screen_on=True), max_seconds=max_seconds, seed=args.seed
+        chip=exynos5422(screen_on=True),
+        max_seconds=max_seconds,
+        seed=seed,
+        fastpath=fastpath,
     ))
+    return app, sim
+
+
+def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.core.taskstats import TaskStatsCollector
+
+    app, sim = _single_app_sim(args.app, args.seed)
     profiler = TaskStatsCollector.attach(sim)
     app.install(sim)
     trace = sim.run()
@@ -79,23 +101,7 @@ def _cmd_cprofile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
-    from repro.core.study import FPS_APP_SECONDS, LATENCY_APP_CAP_SECONDS
-    from repro.platform.chip import exynos5422
-    from repro.sim.engine import SimConfig, Simulator
-    from repro.workloads.base import Metric
-    from repro.workloads.mobile import make_app
-
-    app = make_app(args.app)
-    max_seconds = (
-        FPS_APP_SECONDS if app.metric is Metric.FPS else LATENCY_APP_CAP_SECONDS
-    )
-
-    sim = Simulator(SimConfig(
-        chip=exynos5422(screen_on=True),
-        max_seconds=max_seconds,
-        seed=args.seed,
-        fastpath=not args.reference,
-    ))
+    app, sim = _single_app_sim(args.app, args.seed, fastpath=not args.reference)
     app.install(sim)
 
     profiler = cProfile.Profile()
@@ -118,7 +124,6 @@ def _cmd_cprofile(args: argparse.Namespace) -> int:
 
 def _cmd_observe(args: argparse.Namespace) -> int:
     """Run one app with full observability and export the artifacts."""
-    from repro.core.study import FPS_APP_SECONDS, LATENCY_APP_CAP_SECONDS
     from repro.obs import Observation
     from repro.obs.export import (
         export_events_jsonl,
@@ -126,23 +131,14 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         export_perfetto,
         render_summary,
     )
-    from repro.platform.chip import exynos5422
-    from repro.sim.engine import SimConfig, Simulator
-    from repro.workloads.base import Metric
-    from repro.workloads.mobile import make_app
 
-    app = make_app(args.app)
-    max_seconds = args.max_seconds
-    if max_seconds is None:
-        max_seconds = (
-            FPS_APP_SECONDS if app.metric is Metric.FPS else LATENCY_APP_CAP_SECONDS
-        )
-    sim = Simulator(SimConfig(
-        chip=exynos5422(screen_on=True), max_seconds=max_seconds, seed=args.seed
-    ))
+    app, sim = _single_app_sim(args.app, args.seed, args.max_seconds)
     observation = Observation.attach(sim)
     app.install(sim)
-    log.debug("running %s for up to %.1f simulated seconds", args.app, max_seconds)
+    log.debug(
+        "running %s for up to %.1f simulated seconds",
+        args.app, sim.config.max_seconds,
+    )
     trace = sim.run()
     snapshot = observation.snapshot()
 

@@ -31,7 +31,6 @@ concurrent submissions execute once::
 
 from repro.dist.coordinator import (
     Coordinator,
-    DistAdmissionError,
     DistJobError,
     WorkerDied,
     job_key,
@@ -39,7 +38,6 @@ from repro.dist.coordinator import (
 from repro.dist.executor import DistExecutor
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
-    WIRE_TRACE_POLICIES,
     ProtocolError,
     decode_results,
     encode_results,
@@ -50,13 +48,11 @@ from repro.dist.worker import DistWorker, parse_endpoint, run_worker
 
 __all__ = [
     "Coordinator",
-    "DistAdmissionError",
     "DistExecutor",
     "DistJobError",
     "DistWorker",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "WIRE_TRACE_POLICIES",
     "WorkerDied",
     "decode_results",
     "encode_results",

@@ -58,7 +58,6 @@ from repro.obs.metrics import global_metrics
 from repro.runner.executors import JobTimeout
 from repro.runner.spec import RunResult, RunSpec, spec_to_wire
 from repro.dist.protocol import (
-    WIRE_TRACE_POLICIES,
     ProtocolError,
     decode_results,
     recv_frame,
@@ -70,10 +69,6 @@ log = get_logger("dist.coordinator")
 #: ``callback(payload, error, worker_died)`` — ``payload`` is the job's
 #: result list on success, else ``None``.
 JobCallback = Callable[[Optional[list[RunResult]], Optional[BaseException], bool], None]
-
-
-class DistAdmissionError(Exception):
-    """A spec was refused at submit time (trace policy too fat for the wire)."""
 
 
 class DistJobError(Exception):
@@ -245,13 +240,6 @@ class Coordinator:
         specs = list(specs)
         if not specs:
             raise ValueError("empty job")
-        for spec in specs:
-            if spec.trace_policy not in WIRE_TRACE_POLICIES:
-                raise DistAdmissionError(
-                    f"trace_policy {spec.trace_policy!r} of {spec.label()} is "
-                    f"not admitted over the wire; use one of "
-                    f"{', '.join(WIRE_TRACE_POLICIES)}"
-                )
         key = job_key(specs)
         with self._cv:
             if self._closed:

@@ -26,10 +26,9 @@ Version policy: the coordinator only accepts workers whose
 global dedup/cache key, so a mixed-version cluster would silently mix
 incompatible simulation semantics.
 
-Admission: only ``rle``/``none`` trace policies cross the wire (the
-reduce-at-source pipeline keeps results a few hundred bytes to a few
-tens of KB); dense (``full``) and shared-memory traces are refused at
-submit time.
+Every trace policy is wire-safe: a result carries an RLE trace or none,
+so the reduce-at-source pipeline keeps it a few hundred bytes to a few
+tens of KB.
 """
 
 from __future__ import annotations
@@ -43,9 +42,6 @@ from repro.runner.spec import RunResult
 from repro.sim.traceio import LazyTrace, load_trace_rle_bytes, trace_rle_to_bytes
 
 PROTOCOL_VERSION = 1
-
-#: Trace policies whose results are slim enough for the wire.
-WIRE_TRACE_POLICIES = ("rle", "none")
 
 _FRAME_HEADER = struct.Struct(">II")
 
@@ -110,25 +106,17 @@ def recv_frame(sock: socket.socket) -> tuple[dict[str, Any], bytes]:
 def encode_results(results: list[RunResult]) -> tuple[list[dict[str, Any]], bytes]:
     """Encode a job's results as (per-result metadata, concatenated blob).
 
-    Each result contributes its JSON scalars plus, for an ``rle``-policy
-    result, its RLE npz bytes in the shared blob (``blob_len`` in the
-    metadata delimits each slice).  Dense traces are a protocol error —
-    admission should have refused the spec.
+    Each result contributes its JSON scalars plus, for a traced result,
+    its RLE npz bytes in the shared blob (``blob_len`` in the metadata
+    delimits each slice).
     """
     metas: list[dict[str, Any]] = []
     blobs: list[bytes] = []
     for result in results:
-        trace = result.trace
-        if trace is None:
+        if result.trace is None:
             encoded, kind = b"", None
-        elif isinstance(trace, LazyTrace):
-            encoded, kind = trace_rle_to_bytes(trace), "rle"
         else:
-            raise ProtocolError(
-                f"result for {result.workload!r} carries a dense trace; "
-                f"only {', '.join(WIRE_TRACE_POLICIES)} trace policies "
-                "may cross the wire"
-            )
+            encoded, kind = trace_rle_to_bytes(result.trace), "rle"
         metas.append(
             {"scalars": result.scalars(), "trace": kind, "blob_len": len(encoded)}
         )

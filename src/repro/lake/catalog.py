@@ -202,7 +202,10 @@ class CatalogEntry:
         The single derivation path shared by incremental indexing (which
         has the live spec/result but serializes through the same
         manifest/scalars) and :meth:`Catalog.rebuild` (which only has
-        the file) — so both produce identical records.
+        the file) — so both produce identical records.  A manifest
+        leaves out the default trace policy: that is ``"rle"``, except
+        for an entry written up to version 1.2.1 that holds a dense
+        ``trace.npz`` (the default was then ``"full"``).
         """
         manifest = payload.get("spec") or {}
         scalars = payload.get("result") or {}
@@ -219,7 +222,9 @@ class CatalogEntry:
             core_config=manifest.get("core_config"),
             scheduler=scheduler,
             seed=int(manifest.get("seed", 0)),
-            trace_policy=str(manifest.get("trace_policy", "full")),
+            trace_policy=str(manifest.get(
+                "trace_policy", "full" if trace_format == "npz" else "rle"
+            )),
             trace_format=trace_format,
             reductions=tuple(manifest.get("reductions") or ()),
             observe=bool(manifest.get("observe", False)),
@@ -232,7 +237,10 @@ class CatalogEntry:
 
 
 def _entry_trace_format(entry_dir: str) -> tuple[Optional[str], int]:
-    """(trace format, total entry bytes) from an entry directory listing."""
+    """(trace format, total entry bytes) from an entry directory listing.
+
+    ``"npz"`` marks a dense trace written by version 1.2.1 or earlier.
+    """
     trace_format = None
     nbytes = 0
     try:

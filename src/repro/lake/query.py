@@ -40,8 +40,9 @@ outputs computed once, when ``ResultCache.store`` wrote the entry — so
 a query costs O(catalog lines) and opens no trace file.  An entry stored
 without a summary (by an older version) gets one computed on the spot
 from its trace file, counted in ``lake.query.trace_loads``: RLE files
-feed the kernels directly (``LazyTrace.rle`` — never inflated), dense
-``.npz`` files are re-encoded in memory via :meth:`RLETrace.from_trace`.
+feed the kernels directly (``LazyTrace.rle`` — never inflated), the
+dense ``.npz`` files of versions up to 1.2.1 are re-encoded in memory
+via :meth:`RLETrace.from_trace`.
 A trace file that cannot be read is skipped with a warning and counted
 in ``lake.query.corrupt``; entries with no trace
 (``trace_policy="none"``) are skipped and counted in
@@ -83,7 +84,7 @@ def _entry_rle(entry: CatalogEntry, root: str) -> Optional[RLETrace]:
     """The entry's trace in RLE form, or ``None`` if it stored no trace.
 
     RLE files never inflate (the lazy proxy hands over its payload);
-    dense ``.npz`` files are *encoded* — ``RLETrace.from_trace`` reads
+    dense ``.npz`` files (written up to version 1.2.1) are *encoded* — ``RLETrace.from_trace`` reads
     the stored arrays but builds run-lengths, it does not count as a
     materialization (nothing RLE existed to densify).
     """

@@ -8,13 +8,16 @@ Layout: ``<root>/<repro.__version__>/<spec_key>/`` holding
   result its ``trace_summary``: the lake kernel aggregates
   (:func:`repro.lake.kernels.trace_summary`), computed once here so
   lake queries never reopen the trace file,
-- ``trace.npz`` — the dense simulation trace via
-  :mod:`repro.sim.traceio`, **or**
-- ``trace.rle`` — the run-length-encoded columnar form, written when
-  the result carries a :class:`~repro.sim.traceio.LazyTrace` (the
-  ``"rle"`` trace policy); loaded back lazily, so a cache hit costs
-  only the compressed read until someone touches the dense arrays.
-  Entries with no trace file simply had none (``trace_policy="none"``).
+- ``trace.rle`` — the run-length-encoded columnar trace
+  (:mod:`repro.sim.traceio`), written when the result carries a
+  :class:`~repro.sim.traceio.LazyTrace` (the default ``"rle"`` trace
+  policy); loaded back lazily, so a cache hit costs only the
+  compressed read until someone touches the dense arrays.  Entries
+  with no trace file simply had none (``trace_policy="none"``).
+
+Versions up to 1.2.1 also wrote dense ``trace.npz`` files; this cache
+no longer reads or writes them (the lake still indexes them, see
+:mod:`repro.lake.catalog`).
 
 Every ``store``/``evict`` also appends a record to the lake catalog
 (``<root>/catalog.jsonl``, see :mod:`repro.lake.catalog`), keeping the
@@ -50,10 +53,7 @@ from repro.runner.spec import RunResult, RunSpec
 from repro.sim.traceio import (
     TRACE_READ_ERRORS,
     LazyTrace,
-    RLETrace,
-    load_trace,
     load_trace_lazy,
-    save_trace,
     save_trace_rle,
 )
 
@@ -107,19 +107,16 @@ def _publish(tmp: str, entry: str, attempts: int = 3) -> bool:
     return False
 
 
-def _trace_summary(trace: Any) -> Optional[dict[str, Any]]:
+def _trace_summary(trace: Optional[LazyTrace]) -> Optional[dict[str, Any]]:
     """The lake kernel aggregates of a stored trace (``None`` if traceless).
 
-    Taken from the RLE form without inflating: a
-    :class:`~repro.sim.traceio.LazyTrace` hands over its payload, a dense
-    trace is encoded.
+    Taken from the RLE payload, so storing never inflates the trace.
     """
     if trace is None:
         return None
     from repro.lake.kernels import trace_summary
 
-    rle = trace.rle if isinstance(trace, LazyTrace) else RLETrace.from_trace(trace)
-    return trace_summary(rle)
+    return trace_summary(trace.rle)
 
 
 @dataclass
@@ -148,7 +145,6 @@ class ResultCache:
     """Spec-keyed persistent store of :class:`RunResult` objects."""
 
     RESULT_FILE = "result.json"
-    TRACE_FILE = "trace.npz"
     RLE_TRACE_FILE = "trace.rle"
 
     def __init__(self, root: Optional[str] = None, version: Optional[str] = None):
@@ -187,9 +183,9 @@ class ResultCache:
         cannot be read back (torn ``result.json``, truncated trace file,
         scalar-schema mismatch) is corrupt — it is evicted with a
         warning and a ``cache.corrupt`` count, then reported as a miss
-        so the batch re-runs the simulation.  An RLE-stored trace comes
-        back as a :class:`~repro.sim.traceio.LazyTrace`; dense inflation
-        is deferred until first array access.
+        so the batch re-runs the simulation.  A stored trace comes back
+        as a :class:`~repro.sim.traceio.LazyTrace`; dense inflation is
+        deferred until first array access.
         """
         entry = self.entry_dir(spec)
         path = os.path.join(entry, self.RESULT_FILE)
@@ -208,12 +204,9 @@ class ResultCache:
             return None
         trace = None
         rle_path = os.path.join(entry, self.RLE_TRACE_FILE)
-        trace_path = os.path.join(entry, self.TRACE_FILE)
         try:
             if os.path.isfile(rle_path):
                 trace = load_trace_lazy(rle_path)
-            elif os.path.isfile(trace_path):
-                trace = load_trace(trace_path)
         except TRACE_READ_ERRORS as exc:
             self._corrupt(spec, f"unreadable trace file ({exc})")
             return None
@@ -233,10 +226,10 @@ class ResultCache:
     def store(self, spec: RunSpec, result: RunResult) -> str:
         """Persist ``result`` under ``spec``'s key; returns the entry dir.
 
-        A :class:`~repro.sim.traceio.LazyTrace` is written in its RLE
-        form directly — storing a compressed result never inflates it.
-        A traced result also gets its ``trace_summary`` in
-        ``result.json``, which the lake catalog indexes.
+        The :class:`~repro.sim.traceio.LazyTrace` is written in its RLE
+        form directly — storing a result never inflates it.  A traced
+        result also gets its ``trace_summary`` in ``result.json``, which
+        the lake catalog indexes.
         """
         entry = self.entry_dir(spec)
         parent = os.path.dirname(entry)
@@ -253,10 +246,8 @@ class ResultCache:
                 payload["trace_summary"] = summary
             with open(os.path.join(tmp, self.RESULT_FILE), "w") as f:
                 json.dump(payload, f, indent=2, sort_keys=True)
-            if isinstance(result.trace, LazyTrace):
+            if result.trace is not None:
                 save_trace_rle(result.trace, os.path.join(tmp, self.RLE_TRACE_FILE))
-            elif result.trace is not None:
-                save_trace(result.trace, os.path.join(tmp, self.TRACE_FILE))
             written = _dir_nbytes(tmp)
             if os.path.isdir(entry):
                 shutil.rmtree(entry, ignore_errors=True)

@@ -66,19 +66,29 @@ def _worker_init() -> None:
     resolve_chip(DEFAULT_CHIP_ID)
 
 
+#: Period at which an expired job's alarm keeps firing until the job
+#: has unwound.  The interpreter can swallow a raise from the handler
+#: (as "unraisable" when the signal lands inside a ``gc`` callback), and
+#: a one-shot timer would then leave the job running unbounded.
+ALARM_RETRY_S = 0.05
+
+
 def _alarmed(fn, timeout_s: Optional[float], label: str):
     """Run ``fn()`` under an optional in-process ``SIGALRM`` timeout.
 
     Module-level machinery shared by single-spec and cohort jobs.  The
     alarm is only armed in a main thread (workers always are); elsewhere
-    the job runs untimed rather than failing.
+    the job runs untimed rather than failing.  Once the budget expires
+    the timer re-fires every :data:`ALARM_RETRY_S` seconds, so a
+    :class:`JobTimeout` that never reaches the job is raised again.
 
     Handler hygiene: the previous ``SIGALRM`` disposition is restored
     and the itimer cancelled on **every** exit path — success, job
     exception, timeout, and even a failure while arming the timer —
     via nested ``try``/``finally``.  A leaked handler would fire inside
     the *next* job on this worker (the retry/crash branch reuses the
-    process), mis-attributing the timeout.
+    process), mis-attributing the timeout.  An alarm that lands after
+    ``fn()`` has returned or raised is ignored.
     """
     use_alarm = (
         timeout_s is not None
@@ -88,16 +98,19 @@ def _alarmed(fn, timeout_s: Optional[float], label: str):
     )
     if not use_alarm:
         return fn()
+    done = False
 
     def _on_alarm(_signum, _frame):  # pragma: no cover - exercised via raise
-        raise JobTimeout(f"job exceeded {timeout_s:.3f}s: {label}")
+        if not done:
+            raise JobTimeout(f"job exceeded {timeout_s:.3f}s: {label}")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     try:
-        signal.setitimer(signal.ITIMER_REAL, timeout_s)
+        signal.setitimer(signal.ITIMER_REAL, timeout_s, ALARM_RETRY_S)
         try:
             return fn()
         finally:
+            done = True
             signal.setitimer(signal.ITIMER_REAL, 0.0)
     finally:
         signal.signal(signal.SIGALRM, previous)

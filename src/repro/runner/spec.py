@@ -49,12 +49,11 @@ from repro.workloads.mobile import make_app
 #: Valid ``RunSpec.trace_policy`` values — what happens to the dense
 #: trace once the worker has finished reductions:
 #:
-#: - ``"full"``: ship the dense arrays back (historical behaviour);
-#: - ``"rle"``: ship the run-length-encoded form; the parent sees a
-#:   :class:`~repro.sim.traceio.LazyTrace` that inflates on first
-#:   dense access;
+#: - ``"rle"`` (the default): ship the run-length-encoded form; the
+#:   parent sees a :class:`~repro.sim.traceio.LazyTrace` that inflates
+#:   on first dense access;
 #: - ``"none"``: drop the trace — only scalars and reductions return.
-TRACE_POLICIES = ("full", "rle", "none")
+TRACE_POLICIES = ("rle", "none")
 
 # ---------------------------------------------------------------------------
 # Chip registry
@@ -152,10 +151,11 @@ class RunSpec:
             to execute **inside the worker**; payloads ride back on
             :attr:`RunResult.reductions` and cache with the scalars.
         trace_policy: what to do with the dense trace after reductions —
-            one of :data:`TRACE_POLICIES`.  Experiments that only read
+            one of :data:`TRACE_POLICIES`.  The default ``"rle"`` keeps
+            the trace addressable at run-length cost (it inflates on
+            first dense access); experiments that only read
             scalars/reductions should declare ``"none"`` (nothing but a
-            few hundred bytes crosses the pool); ``"rle"`` keeps the
-            trace addressable at run-length cost.
+            few hundred bytes crosses the pool).
     """
 
     workload: str
@@ -167,7 +167,7 @@ class RunSpec:
     max_seconds: Optional[float] = None
     observe: bool = False
     reductions: tuple[str, ...] = ()
-    trace_policy: str = "full"
+    trace_policy: str = "rle"
 
     def __post_init__(self):
         if self.trace_policy not in TRACE_POLICIES:
@@ -198,12 +198,14 @@ class RunSpec:
             "max_seconds": self.max_seconds,
         }
         # Only stamped when set, so every pre-existing cache key is
-        # unchanged for specs using the historical defaults.
+        # unchanged for specs using the historical defaults.  A
+        # default-policy spec hashes as the dense-policy default did;
+        # the package version partitions the two in the cache.
         if self.observe:
             manifest["observe"] = True
         if self.reductions:
             manifest["reductions"] = list(self.reductions)
-        if self.trace_policy != "full":
+        if self.trace_policy != "rle":
             manifest["trace_policy"] = self.trace_policy
         return manifest
 
@@ -323,9 +325,8 @@ class RunResult:
 
     Scalar metrics and any declared reductions are computed in the
     worker (the live ``App`` object is not shipped back); what rides
-    along as ``trace`` depends on the spec's ``trace_policy`` — a dense
-    :class:`Trace`, a lazily-inflating
-    :class:`~repro.sim.traceio.LazyTrace`, or nothing.
+    along as ``trace`` depends on the spec's ``trace_policy`` — a
+    lazily-inflating :class:`~repro.sim.traceio.LazyTrace`, or nothing.
     """
 
     spec_key: str
@@ -344,7 +345,10 @@ class RunResult:
     #: reductions (decode with :func:`repro.core.reductions.decode_reduction`),
     #: else ``None``.  Plain JSON, so it caches with the other scalars.
     reductions: Optional[dict[str, Any]] = None
-    trace: Optional[Union[Trace, LazyTrace]] = None
+    #: The RLE trace (``None`` under ``"none"``).  Only the unfinalized
+    #: result of a kind function holds the dense :class:`Trace`, until
+    #: :func:`finalize_result` encodes it.
+    trace: Optional[LazyTrace] = None
 
     @property
     def metric_enum(self) -> Metric:
@@ -364,16 +368,11 @@ class RunResult:
     def transport_nbytes(self) -> int:
         """Bytes the trace payload costs on the worker→parent pickle path.
 
-        Dense traces cost their array bytes, RLE traces their encoded
-        payload, dropped traces (``"none"``) nothing — the
-        scalar/reduction envelope is negligible and uncounted.
+        RLE traces cost their encoded payload, dropped traces
+        (``"none"``) nothing — the scalar/reduction envelope is
+        negligible and uncounted.
         """
-        trace = self.trace
-        if trace is None:
-            return 0
-        if isinstance(trace, LazyTrace):
-            return trace.payload_nbytes
-        return trace.nbytes
+        return 0 if self.trace is None else self.trace.payload_nbytes
 
     def performance_value(self) -> float:
         """The app's headline metric: latency (s) or average FPS."""
@@ -530,12 +529,9 @@ def finalize_result(spec: RunSpec, result: RunResult) -> RunResult:
             spec.reductions, result.trace, resolve_chip(spec.chip),
             result.scalars(),
         )
-    if result.trace is None:
-        return result
-    policy = spec.trace_policy
-    if policy == "none":
+    if spec.trace_policy == "none":
         result.trace = None
-    elif policy == "rle" and isinstance(result.trace, Trace):
+    elif isinstance(result.trace, Trace):
         result.trace = LazyTrace.from_trace(result.trace)
     return result
 

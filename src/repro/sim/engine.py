@@ -265,17 +265,21 @@ class Simulator:
             for ct in (CoreType.LITTLE, CoreType.BIG)
         ]
 
-        # Fast-forward: statically eligible only when every per-tick side
-        # channel is provably inert while nothing is runnable.
+        # Static eligibility of fast-forward and deferred power: no
+        # per-tick side channel reads or feeds the simulated state.
         # Thermal state integrates every tick and the GPU has its own
-        # per-tick governor/energy accounting, so either disables it.
+        # per-tick governor/energy accounting, so either disables both.
         env = os.environ.get("REPRO_ENGINE_FASTPATH", "1").strip().lower()
-        self.fastpath_enabled = (
+        static_ok = (
             config.fastpath
             and env not in ("0", "false", "off", "no")
             and config.thermal is None
             and config.gpu is None
-            and getattr(self.hmp, "idle_tick_is_noop", False)
+        )
+        # Fast-forward also needs every per-tick channel to be provably
+        # inert while nothing is runnable.
+        self.fastpath_enabled = static_ok and getattr(
+            self.hmp, "idle_tick_is_noop", False
         )
         # Busy spans additionally need a scheduler that can certify its
         # tick is load-threshold-driven on frozen runqueues
@@ -304,12 +308,7 @@ class Simulator:
         # the run reads the power columns, so per-tick power evaluation
         # can be batched into one vectorized post-pass.  Instantiated at
         # run() start (tick hooks may still be registered until then).
-        self.deferred_power_enabled = (
-            config.fastpath
-            and env not in ("0", "false", "off", "no")
-            and config.thermal is None
-            and config.gpu is None
-        )
+        self.deferred_power_enabled = static_ok
         self._deferred: Optional[DeferredPowerPipeline] = None
 
         self.trace = Trace(

@@ -1,5 +1,7 @@
 """Tests for the ``biglittle`` command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -84,6 +86,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Per-task execution profile" in out
         assert "video-player/" in out
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_cprofile_runs(self, capsys, tmp_path, reference):
+        path = str(tmp_path / "run.pstats")
+        argv = ["cprofile", "video-player", "--top", "3", "--pstats", path]
+        assert main(argv + (["--reference"] if reference else [])) == 0
+        out = capsys.readouterr().out
+        assert "cumulative" in out
+        if reference:
+            assert "fast-forward disabled" in out
+        else:
+            assert "ticks fast-forwarded in" in out
+        assert os.path.getsize(path) > 0
 
     def test_timeline_runs(self, capsys):
         assert main(["timeline", "video-player", "--width", "30"]) == 0

@@ -22,6 +22,7 @@ from repro.lake import CATALOG_SCHEMA_VERSION, Catalog, LakeQuery
 from repro.lake.regress import diff_versions, render_diff
 from repro.obs.metrics import global_metrics, reset_global_metrics
 from repro.runner import BatchRunner, ResultCache, RunSpec, execute_spec
+from tests.legacy_cache import write_dense_entry
 
 APPS = ("bbench", "video-player")
 SEEDS = (0, 1)
@@ -263,19 +264,24 @@ class TestDiffVersions:
         assert "avg_power_mw" in text and "1.0.0 -> 2.0.0" in text
 
     def test_diff_reports_residency_shift_for_dense_entries(self, tmp_path):
-        # trace_policy="full" entries store trace.npz; their summaries
-        # carry big-cluster residency just as RLE entries' do.
+        # Entries of version 1.2.1 and earlier store a dense trace.npz
+        # and no summary; the diff reads big-cluster residency from it.
         root = str(tmp_path)
         spec = RunSpec("bbench", seed=3, max_seconds=1.0)
         result = execute_spec(spec)
-        ResultCache(root=root, version="1.0.0").store(spec, result)
+        write_dense_entry(
+            root, "1.0.0", spec, result.scalars(), result.trace.materialize(),
+            summary=False,
+        )
         # Version B: same spec and scalars, a trace with other residency.
         other = execute_spec(RunSpec("video-player", seed=3, max_seconds=1.0))
-        ResultCache(root=root, version="2.0.0").store(
-            spec, dataclasses.replace(result, trace=other.trace)
+        write_dense_entry(
+            root, "2.0.0", spec, result.scalars(), other.trace.materialize(),
+            summary=False,
         )
         catalog = Catalog(root=root)
         assert {e.trace_format for e in catalog.entries()} == {"npz"}
+        assert {e.trace_policy for e in catalog.entries()} == {"full"}
         payload = diff_versions(catalog, "1.0.0", "2.0.0")
         (record,) = payload["changed"]
         assert record["metrics"] == {}

@@ -19,6 +19,7 @@ from math import fsum
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
 from repro.lake import Catalog, CatalogEntry, LakeQuery
 from repro.lake.kernels import (
@@ -32,11 +33,13 @@ from repro.obs.metrics import global_metrics, reset_global_metrics
 from repro.platform.coretypes import CoreType
 from repro.runner import BatchRunner, ResultCache, RunSpec, execute_spec
 from repro.sim.traceio import LazyTrace, load_trace
+from tests.legacy_cache import write_dense_entry
 
 IDLE_HEAVY_KIND = "repro.runner.benchkinds:run_idle_heavy"
 
-#: RLE and dense entries of two apps, a traceless entry, and one RLE
-#: entry (the only ``browser`` one with a trace) whose summary is removed.
+#: RLE and legacy dense entries of two apps, a traceless entry, and one
+#: RLE entry (the only ``browser`` one with a trace) whose summary is
+#: removed.
 MIXED_SPECS = [
     RunSpec("bbench", seed=0, max_seconds=1.0, trace_policy="rle"),
     RunSpec("bbench", seed=1, max_seconds=1.0, trace_policy="rle"),
@@ -47,6 +50,8 @@ MIXED_SPECS = [
     RunSpec("browser", seed=9, max_seconds=1.0, trace_policy="none"),
 ]
 UNSUMMARISED = MIXED_SPECS[5]
+#: Written in the dense ``trace.npz`` layout of version 1.2.1.
+LEGACY_DENSE = {MIXED_SPECS[2].key(), MIXED_SPECS[4].key()}
 
 
 def _strip_summaries(root: str, keys=None) -> None:
@@ -68,8 +73,15 @@ def _strip_summaries(root: str, keys=None) -> None:
 def mixed_root(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("mixed"))
     BatchRunner(workers=1, cache=ResultCache(root=root)).run(
-        MIXED_SPECS
+        [s for s in MIXED_SPECS if s.key() not in LEGACY_DENSE]
     ).raise_on_failure()
+    for spec in MIXED_SPECS:
+        if spec.key() in LEGACY_DENSE:
+            result = execute_spec(spec)
+            write_dense_entry(
+                root, repro.__version__, spec, result.scalars(),
+                result.trace.materialize(),
+            )
     _strip_summaries(root, keys={UNSUMMARISED.key()})
     return root
 
@@ -154,10 +166,9 @@ class TestSummaryEquivalence:
             assert row[spec] == _dense_group(mixed_root, members, spec)
 
     def test_fixture_mixes_summaries(self, mixed_root, stripped_root):
-        summarised = {
-            e.spec_key: e.trace_summary is not None
-            for e in Catalog(root=mixed_root).load()
-        }
+        entries = Catalog(root=mixed_root).load()
+        summarised = {e.spec_key: e.trace_summary is not None for e in entries}
+        assert {e.trace_format for e in entries} == {"rle", "npz", None}
         traced = {s.key() for s in MIXED_SPECS if s.trace_policy != "none"}
         assert summarised == {
             s.key(): s.key() in traced and s is not UNSUMMARISED

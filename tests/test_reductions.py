@@ -21,7 +21,7 @@ from repro.core.tlp import TLPStats, tlp_stats
 from repro.core.tlp_matrix import tlp_matrix
 from repro.platform.chip import exynos5422
 from repro.platform.coretypes import CoreType
-from repro.runner.spec import RunSpec, execute_spec
+from repro.runner.spec import RunSpec, execute_spec, finalize_result, resolve_kind
 
 
 # -- registry mechanics ------------------------------------------------------
@@ -93,11 +93,10 @@ ALL_TRACE_REDUCTIONS = (
 
 @pytest.fixture(scope="module")
 def worker_and_reference():
-    spec = RunSpec(
-        "bbench", seed=5, reductions=ALL_TRACE_REDUCTIONS, trace_policy="full",
-    )
-    result = execute_spec(spec)  # computes reductions, keeps the trace
-    return result, result.trace
+    spec = RunSpec("bbench", seed=5, reductions=ALL_TRACE_REDUCTIONS)
+    unfinalized = resolve_kind(spec.kind)(spec)
+    trace = unfinalized.trace  # the dense trace, before encoding
+    return finalize_result(spec, unfinalized), trace
 
 
 def test_every_registered_reduction_matches_parent_recompute(worker_and_reference):

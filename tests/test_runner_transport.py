@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from repro.obs.metrics import global_metrics, reset_global_metrics
 from repro.runner.batch import BatchRunner, JobTimeout, _execute_job
 from repro.runner.cache import ResultCache
-from repro.runner.spec import RunSpec, execute_spec
+from repro.runner.executors import _alarmed
+from repro.runner.spec import RunSpec, execute_spec, finalize_result, resolve_kind
 from repro.sim.traceio import LazyTrace
 
 
@@ -28,9 +30,19 @@ def spec_for(policy: str, **overrides) -> RunSpec:
     return RunSpec(APP, **kwargs)
 
 
+def dense_result(spec: RunSpec):
+    """The spec's reductions with the unfinalized dense trace — what the
+    retired ``"full"`` policy shipped."""
+    unfinalized = resolve_kind(spec.kind)(spec)
+    trace = unfinalized.trace
+    result = finalize_result(spec, unfinalized)
+    result.trace = trace
+    return result
+
+
 @pytest.fixture(scope="module")
-def full_result():
-    return execute_spec(spec_for("full"))
+def dense():
+    return dense_result(spec_for("rle"))
 
 
 def assert_trace_matches(trace, reference) -> None:
@@ -46,56 +58,54 @@ def assert_trace_matches(trace, reference) -> None:
 # -- policy semantics at the execute_spec level ------------------------------
 
 
-def test_policy_none_drops_trace_keeps_reductions(full_result):
+def test_policy_none_drops_trace_keeps_reductions(dense):
     result = execute_spec(spec_for("none"))
     assert result.trace is None
     assert result.transport_nbytes() == 0
-    assert result.reduction("tlp") == full_result.reduction("tlp")
-    assert result.reduction("power_summary") == full_result.reduction(
+    assert result.reduction("tlp") == dense.reduction("tlp")
+    assert result.reduction("power_summary") == dense.reduction(
         "power_summary"
     )
 
 
-def test_policy_rle_is_lazy_and_bit_exact(full_result):
+def test_policy_rle_is_lazy_and_bit_exact(dense):
     result = execute_spec(spec_for("rle"))
     assert isinstance(result.trace, LazyTrace)
     assert not result.trace.inflated
-    assert 0 < result.transport_nbytes() < full_result.trace.nbytes
-    assert_trace_matches(result.trace.materialize(), full_result.trace)
+    assert 0 < result.transport_nbytes() < dense.trace.nbytes
+    assert_trace_matches(result.trace.materialize(), dense.trace)
 
 
 def test_unknown_trace_policy_rejected():
-    with pytest.raises(ValueError, match="valid: full, rle, none$"):
-        RunSpec("bbench", trace_policy="shm")
+    for policy in ("shm", "full"):
+        with pytest.raises(ValueError, match="valid: rle, none$"):
+            RunSpec("bbench", trace_policy=policy)
 
 
 # -- batch runner: serial and parallel, with transport accounting ------------
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_batch_policies_bit_identical(tmp_path, full_result, workers):
+def test_batch_policies_bit_identical(tmp_path, workers):
     reset_global_metrics()
     runner = BatchRunner(
         workers=workers, cache=ResultCache(root=tmp_path / f"c{workers}")
     )
-    report = runner.run([
-        spec_for("full", seed=4),
-        spec_for("rle", seed=4),
-        spec_for("none", seed=4),
-    ])
+    report = runner.run([spec_for("rle", seed=4), spec_for("none", seed=4)])
     report.raise_on_failure()
-    full, rle, none = report.results
+    rle, none = report.results
+    dense = dense_result(spec_for("rle", seed=4))
 
-    assert_trace_matches(rle.trace, full.trace)
+    assert_trace_matches(rle.trace, dense.trace)
     assert none.trace is None
     for result in (rle, none):
-        assert result.reduction("tlp") == full.reduction("tlp")
+        assert result.reduction("tlp") == dense.reduction("tlp")
 
     if workers > 1:
-        # rle + full both cross the pool with payloads; none is free.
+        # rle crosses the pool with a payload; none is free.
         assert report.transport_bytes > 0
         snap = global_metrics().snapshot()
-        assert snap.counter("runner.transport.results") == 3
+        assert snap.counter("runner.transport.results") == 2
         assert snap.counter("runner.transport.bytes") == report.transport_bytes
     else:
         assert report.transport_bytes == 0
@@ -124,25 +134,26 @@ def test_rle_cache_roundtrip_stays_lazy(tmp_path):
 def test_reduced_policies_ship_far_fewer_bytes():
     """Reducing at the source shrinks what a result pickles to.
 
-    Sixteen idle-heavy 120 s runs: under ``full`` every dense trace
-    ships and the parent reduces it; under ``rle`` and ``none`` the five
-    reductions run at the source and ship with an RLE trace or none.
+    Sixteen idle-heavy 120 s runs: unreduced, every dense trace would
+    ship and the parent reduce it (the unfinalized result); under
+    ``rle`` and ``none`` the five reductions run at the source and ship
+    with an RLE trace or none.
     """
     reductions = ("tlp", "tlp_matrix", "residency", "efficiency", "power_summary")
 
-    def pickled_bytes(policy):
+    def pickled_bytes(run, policy, reductions=reductions):
         return sum(
-            len(pickle.dumps(execute_spec(RunSpec(
+            len(pickle.dumps(run(RunSpec(
                 "idle-heavy", kind="repro.runner.benchkinds:run_idle_heavy",
                 seed=seed, max_seconds=120.0, trace_policy=policy,
-                reductions=() if policy == "full" else reductions,
+                reductions=reductions,
             ))))
             for seed in range(16)
         )
 
-    full = pickled_bytes("full")
-    assert full / pickled_bytes("rle") >= 150
-    assert full / pickled_bytes("none") >= 1500
+    dense = pickled_bytes(lambda spec: resolve_kind(spec.kind)(spec), "rle", ())
+    assert dense / pickled_bytes(execute_spec, "rle") >= 150
+    assert dense / pickled_bytes(execute_spec, "none") >= 1500
 
 
 # -- SIGALRM hygiene (regression: handler leak / dangling itimer) ------------
@@ -191,7 +202,36 @@ def test_alarm_restored_after_job_exception(sentinel_handler):
 @requires_sigalrm
 def test_alarm_restored_after_timeout(sentinel_handler):
     with pytest.raises(JobTimeout):
-        _execute_job(spec_for("full", max_seconds=60.0), timeout_s=0.05)
+        _execute_job(spec_for("rle", max_seconds=60.0), timeout_s=0.05)
+    assert_alarm_state_clean(sentinel_handler)
+
+
+@requires_sigalrm
+def test_swallowed_timeout_is_raised_again(sentinel_handler):
+    """A job that never sees the first JobTimeout is still stopped.
+
+    The interpreter can swallow the handler's raise (as "unraisable"
+    inside a ``gc`` callback); catching it in the job stands in for
+    that.  The job would otherwise spin to its own 10 s deadline.
+    """
+    caught = []
+
+    def job():
+        deadline = time.monotonic() + 10.0
+        try:
+            while time.monotonic() < deadline:
+                pass
+        except JobTimeout as exc:
+            caught.append(exc)
+        while time.monotonic() < deadline:
+            pass
+        return "finished"
+
+    start = time.monotonic()
+    with pytest.raises(JobTimeout):
+        _alarmed(job, 0.05, "swallowing job")
+    assert len(caught) == 1
+    assert time.monotonic() - start < 2.0
     assert_alarm_state_clean(sentinel_handler)
 
 

@@ -113,7 +113,7 @@ class TestSweepFolding:
                 specs.append(RunSpec(
                     "pdf-reader", scheduler=sched, seed=SEED,
                     max_seconds=seconds, reductions=("power_summary",),
-                    trace_policy="full", observe=observe,
+                    observe=observe,
                 ))
         return specs
 
