@@ -27,9 +27,11 @@ shapes:
   work before the horizon), each running task getting a constant
   processor-sharing slice per tick, and the scheduler certifying via
   :meth:`HMPScheduler.busy_tick_guard` that only load-threshold
-  migrations could fire; the probe then bounds every task's load
-  trajectory against the reachable thresholds tick by tick (same EWMA
-  arithmetic, so the bound is exact, not approximate).
+  migrations could fire; the probe dry-runs the governors, walks every
+  task's work through the replayed frequencies to find its exhaustion,
+  and bounds every task's load trajectory against the reachable
+  thresholds tick by tick (same throughput and EWMA arithmetic, so both
+  bounds are exact, not approximate).
 
 The replay runs the governors over the span
 (:meth:`Governor.tick_span`), advances queued tasks' loads through
@@ -300,8 +302,8 @@ class Simulator:
         self.fastforward_ticks = 0
         self.busy_fastforward_spans = 0
         self.busy_fastforward_ticks = 0
-        # A probe that found a near crossing is not retried until the
-        # predicted crossing tick has been stepped past.
+        # A probe that found a near crossing or exhaustion is not
+        # retried until the predicted tick has been stepped past.
         self._busy_probe_cooldown = 0
 
         # Deferred power: with no thermal/GPU feedback, nothing inside
@@ -528,18 +530,23 @@ class Simulator:
         ``busy_fastpath_enabled``, ``_MIN_BUSY_FASTFORWARD_TICKS`` ticks,
         no probe cooldown, and:
 
-        - only enabled cores busy, and no queued task able to exhaust its
-          work (the horizon is cut one full maximum-rate decrement short
-          of the earliest possible exhaustion and capped at
-          ``_BUSY_FASTFORWARD_CHUNK_TICKS``);
+        - only enabled cores busy, and every queued task's work able to
+          outlast the busy minimum at its cluster's minimum OPP, where
+          work lasts longest (a cheap pre-screen; that bound, capped at
+          ``_BUSY_FASTFORWARD_CHUNK_TICKS``, also caps the dry run);
         - a DRAM contention factor constant across the span (including
           the first tick, which still sees the pre-span busy core count);
         - the scheduler certifying its tick reduces to load-threshold
           checks on the frozen runqueues (:meth:`busy_tick_guard`);
-        - every governor able to replay the span (``tick_span`` dry run),
-          and no task's load trajectory reaching a reachable migration
+        - every governor able to replay the span (``tick_span`` dry run);
+        - no queued task exhausting its work: each task's remaining
+          units are walked through the replayed frequency segments at
+          each segment's own throughput, and the horizon is cut one full
+          decrement short of the exhaustion (a cut below the busy
+          minimum sets the probe cooldown to it);
+        - no task's load trajectory reaching a reachable migration
           threshold before the horizon (:meth:`_busy_span_load_safe`,
-          exact EWMA arithmetic).
+          exact EWMA arithmetic over the same segments).
 
         The probe runs on every reference tick, so cheap refusals come
         first.
@@ -583,17 +590,17 @@ class Simulator:
         for core in busy_cores:
             n_rq = len(core.runqueue)
             share = tick_s / n_rq
+            min_khz = self.domains[core.core_type].opp_table.min_khz
             for task in core.runqueue:
-                # Throughput is monotone in frequency, so the max-OPP
-                # rate bounds the per-tick work decrement at any
+                # Throughput is monotone in frequency, so the min-OPP
+                # rate bounds how long the work can last at any
                 # frequency the governor might pick inside the span.
-                tput_max = cached_throughput(
-                    core.spec, core.max_freq_khz, task.current_work_class, contention
+                dec_min = share * cached_throughput(
+                    core.spec, min_khz, task.current_work_class, contention
                 )
-                dec_max = share * tput_max
-                if dec_max <= 0.0:
+                if dec_min <= 0.0:
                     return 0, None
-                horizon = min(horizon, int(task.remaining_units / dec_max) - 1)
+                horizon = min(horizon, int(task.remaining_units / dec_min) - 1)
             core_plans.append((core, n_rq, share))
         if horizon < _MIN_BUSY_FASTFORWARD_TICKS:
             return 0, None
@@ -616,7 +623,36 @@ class Simulator:
             if span_changes is None:
                 return 0, None
             changes[domain.core_type] = span_changes
-        safe = self._busy_span_load_safe(horizon, changes, core_plans, guard)
+        segments = {
+            core_type: _exec_segments(
+                change_list, self.domains[core_type].freq_khz, horizon
+            )
+            for core_type, change_list in changes.items()
+        }
+        # Walk each task's work through the replayed frequencies and cut
+        # the horizon one full decrement short of its exhaustion.
+        for core, n_rq, share in core_plans:
+            segs = segments[core.core_type]
+            for task in core.runqueue:
+                rem = task.remaining_units
+                work_class = task.current_work_class
+                for seg_start, seg_end, khz in segs:
+                    if seg_start >= horizon:
+                        break
+                    dec = share * cached_throughput(
+                        core.spec, khz, work_class, contention
+                    )
+                    fit = int(rem / dec) - 1
+                    if fit < seg_end - seg_start:
+                        horizon = min(horizon, seg_start + fit)
+                        break
+                    rem -= (seg_end - seg_start) * dec
+        if horizon < _MIN_BUSY_FASTFORWARD_TICKS:
+            # A burst about to end: step normally up to its predicted
+            # exhaustion before reprobing.
+            self._busy_probe_cooldown = tick + max(1, horizon)
+            return 0, None
+        safe = self._busy_span_load_safe(horizon, segments, core_plans, guard)
         if safe < horizon:
             if safe < _MIN_BUSY_FASTFORWARD_TICKS:
                 # Too close to a migration to amortize the replay; step
@@ -656,26 +692,22 @@ class Simulator:
     def _busy_span_load_safe(
         self,
         n: int,
-        changes: dict[CoreType, list[tuple[int, int]]],
+        segments: dict[CoreType, list[tuple[int, int, int]]],
         core_plans: list,
         guard,
     ) -> int:
         """Largest span prefix in which no reachable load threshold fires.
 
         Replays every queued task's load EWMA with the exact per-tick
-        arithmetic of :meth:`_update_loads` (samples change only at
-        governor frequency segments), checking the threshold the HMP
-        guard says is reachable for the task's cluster after each
-        update.  A crossing predicted at offset ``j`` means the
-        migration pass at span tick ``j`` would move the task, so only
-        ``j`` ticks are safe to fast-forward.
+        arithmetic of :meth:`_update_loads` (samples change only at the
+        governors' replayed frequency ``segments``, which may run past
+        ``n``), checking the threshold the HMP guard says is reachable
+        for the task's cluster after each update.  A crossing predicted
+        at offset ``j`` means the migration pass at span tick ``j`` would
+        move the task, so only ``j`` ticks are safe to fast-forward.
         """
         safe = n
         tick_s = self.tick_s
-        segments = {
-            core_type: _exec_segments(change_list, self.domains[core_type].freq_khz, n)
-            for core_type, change_list in changes.items()
-        }
         for core, n_rq, share in core_plans:
             is_little = core.core_type is CoreType.LITTLE
             if is_little:

@@ -14,11 +14,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.platform.chip import CoreConfig
+from repro.experiments.common import fixed_governors, single_core_config
+from repro.platform.chip import CoreConfig, exynos5422
 from repro.platform.coretypes import CoreType
 from repro.platform.gpu import GpuSpec
-from repro.platform.perfmodel import COMPUTE_BOUND
+from repro.platform.perfmodel import COMPUTE_BOUND, WorkClass, cached_throughput
 from repro.platform.thermal import ThermalParams
 from repro.sched.cluster_switch import ClusterSwitchingScheduler
 from repro.sched.efficiency_sched import EfficiencyScheduler
@@ -30,7 +33,10 @@ from repro.sched.governor import (
 from repro.sched.params import baseline_config
 from repro.sim.engine import SimConfig, Simulator
 from repro.sim.task import Sleep, Task, WaitSignal, Work
+from repro.workloads.micro import UtilizationMicrobenchmark
 from repro.workloads.mobile import make_app
+
+_CHIP = exynos5422()
 
 
 def run_pair(make_config, install):
@@ -278,6 +284,79 @@ class TestBusyFastForward:
         assert fast.busy_fastforward_ticks == 0
         assert_traces_equal(ref, fast)
 
+    def test_burst_ends_within_a_decrement_after_a_raise_inside_the_span(self):
+        """The interactive governor raises the little cluster inside the
+        span; the probe walks the burst's work through the replayed
+        frequencies, so the span ends one decrement short of exhaustion
+        at the raised rate and the reference steps finish the burst."""
+        little = _CHIP.little_cluster
+        min_tput = cached_throughput(
+            little.spec, little.opp_table.min_khz, COMPUTE_BOUND
+        )
+
+        def burst(ctx):
+            yield Work(0.060 * min_tput)  # 60 ms at the lowest OPP
+            yield Sleep(10.0)
+
+        spans = []
+
+        def install(sim):
+            task = Task("burst", burst, COMPUTE_BOUND)
+            sim.spawn(task)
+            if not sim.config.fastpath:
+                return
+            replay = sim._fast_forward
+
+            def recording(n, plan):
+                freq0 = sim._dom_little.freq_khz
+                replay(n, plan)
+                spans.append(
+                    (bool(plan[0]), freq0, sim._dom_little.freq_khz,
+                     task.remaining_units)
+                )
+
+            sim._fast_forward = recording
+
+        ref, fast = run_pair(
+            lambda: SimConfig(
+                max_seconds=0.5, seed=0, core_config=CoreConfig(little=1, big=0)
+            ),
+            install,
+        )
+        assert_traces_equal(ref, fast)
+        busy, freq0, freq1, remaining = spans[0]
+        assert busy and freq1 > freq0
+        dec = fast.tick_s * cached_throughput(little.spec, freq1, COMPUTE_BOUND)
+        assert dec <= remaining < 2 * dec
+
+    def test_exhaustion_refusal_sets_probe_cooldown(self):
+        """A burst that outlasts the busy minimum at the lowest OPP but
+        not at the pinned maximum passes the pre-screen and is refused
+        by the exact walk, which holds probes off until its exhaustion."""
+        little = _CHIP.little_cluster
+        units = 0.030 * cached_throughput(
+            little.spec, little.opp_table.min_khz, COMPUTE_BOUND
+        )
+
+        def burst(ctx):
+            yield Work(units)
+            yield Sleep(10.0)
+
+        sim = Simulator(SimConfig(
+            max_seconds=0.5, seed=0, core_config=CoreConfig(little=1, big=0),
+            governors={
+                CoreType.LITTLE: PerformanceGovernor(),
+                CoreType.BIG: PerformanceGovernor(),
+            },
+        ))
+        sim.spawn(Task("burst", burst, COMPUTE_BOUND))
+        assert sim._span_horizon() == (0, None)
+        max_tput = cached_throughput(
+            little.spec, little.opp_table.max_khz, COMPUTE_BOUND
+        )
+        assert sim._busy_probe_cooldown == int(units / (sim.tick_s * max_tput)) - 1
+        assert 0 < sim._busy_probe_cooldown < 16
+
 
 def _install_standby(sim):
     sim.spawn(Task("standby", standby_behavior, COMPUTE_BOUND))
@@ -287,12 +366,33 @@ def _install_app(name):
     return lambda sim: make_app(name).install(sim)
 
 
+def _install_microbench_little_min(sim):
+    little = sim.config.chip.little_cluster
+    UtilizationMicrobenchmark(0.5).install(
+        sim, little.spec, little.opp_table.min_khz
+    )
+
+
+def _little_min_opp():
+    """One little core, both clusters pinned at their lowest OPP."""
+    return {
+        "core_config": CoreConfig(little=1, big=0),
+        "governors": {
+            CoreType.LITTLE: PowersaveGovernor(),
+            CoreType.BIG: PowersaveGovernor(),
+        },
+    }
+
+
 class TestFastForwardTickPins:
     """Each scenario fast-forwards exactly its pinned number of ticks.
 
-    Six scenarios at seed 1: a 1 Hz standby timer, three low-utilization
-    apps whose 60 Hz ambient work bounds spans to a frame, and four
-    never-sleeping compute tasks (short and long).  The fast path must
+    Seven scenarios at seed 1: a 1 Hz standby timer, three
+    low-utilization apps whose 60 Hz ambient work bounds spans to a
+    frame, four never-sleeping compute tasks (short and long), and the
+    Fig 6 duty-cycle microbenchmark at u=0.5 on one little core pinned at
+    its lowest OPP, whose bursts fast-forward to within a tick or two of
+    their end.  The fast path must
     match the reference loop's trace bit for bit, and its
     fast-forwarded ticks (all spans, then the busy subset) must equal
     the pinned counts.  The counts are hardware-independent, so a
@@ -301,26 +401,84 @@ class TestFastForwardTickPins:
     """
 
     @pytest.mark.parametrize(
-        "install,seconds,ff_ticks,busy_ticks",
+        "install,seconds,ff_ticks,busy_ticks,config",
         [
-            (_install_standby, 10.0, 9_940, 0),
-            (_install_app("voice-call"), 4.0, 2_762, 0),
-            (_install_app("video-player"), 4.0, 2_073, 0),
-            (_install_app("browser"), 4.0, 3_038, 0),
-            (_install_spec(4), 2.0, 1_998, 1_998),
-            (_install_spec(4), 10.0, 9_994, 9_994),
+            (_install_standby, 10.0, 9_940, 0, dict),
+            (_install_app("voice-call"), 4.0, 2_762, 0, dict),
+            (_install_app("video-player"), 4.0, 2_073, 0, dict),
+            (_install_app("browser"), 4.0, 3_038, 0, dict),
+            (_install_spec(4), 2.0, 1_998, 1_998, dict),
+            (_install_spec(4), 10.0, 9_994, 9_994, dict),
+            (_install_microbench_little_min, 2.0, 1_961, 961, _little_min_opp),
         ],
         ids=["standby-1hz", "voice-call", "video-player", "browser",
-             "spec-compute", "spec-compute-long"],
+             "spec-compute", "spec-compute-long", "util-micro-little-min-opp"],
     )
-    def test_fastforward_ticks_pinned(self, install, seconds, ff_ticks, busy_ticks):
+    def test_fastforward_ticks_pinned(
+        self, install, seconds, ff_ticks, busy_ticks, config
+    ):
         ref, fast = run_pair(
-            lambda: SimConfig(max_seconds=seconds, seed=1), install
+            lambda: SimConfig(max_seconds=seconds, seed=1, **config()), install
         )
         assert_traces_equal(ref, fast)
         assert (fast.fastforward_ticks, fast.busy_fastforward_ticks) == (
             ff_ticks, busy_ticks,
         )
+
+
+@st.composite
+def microbench_cases(draw):
+    """A Fig 6-style duty-cycle case: one core of either type at any of
+    its OPPs, a duty cycle, a period, and a work class anywhere in the
+    performance model's range."""
+    core_type = draw(st.sampled_from([CoreType.LITTLE, CoreType.BIG]))
+    freq = draw(st.sampled_from(_CHIP.cluster(core_type).opp_table.frequencies_khz))
+    work = WorkClass(
+        "fuzz",
+        compute_fraction=draw(st.floats(0.3, 1.0)),
+        wss_kb=draw(st.sampled_from([32.0, 256.0, 1024.0, 4096.0])),
+        ilp=draw(st.floats(0.0, 1.0)),
+        activity_factor=draw(st.floats(0.5, 1.5)),
+    )
+    return {
+        "core_type": core_type,
+        "freq": freq,
+        "utilization": draw(st.floats(0.05, 1.0)),
+        "period_ms": draw(st.sampled_from([10.0, 33.0, 50.0, 100.0])),
+        "work": work,
+        "pinned": draw(st.booleans()),
+    }
+
+
+class TestMicrobenchmarkDifferential:
+    """Fast and reference paths agree on generated microbenchmark runs."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=microbench_cases())
+    def test_traces_match_reference(self, case):
+        core_type = case["core_type"]
+        freq = case["freq"]
+
+        def make_config():
+            governors = None
+            if case["pinned"]:
+                governors = fixed_governors(_CHIP, little_khz=freq, big_khz=freq)
+            return SimConfig(
+                chip=_CHIP,
+                core_config=single_core_config(core_type),
+                governors=governors,
+                max_seconds=0.6,
+                seed=1,
+            )
+
+        def install(sim):
+            bench = UtilizationMicrobenchmark(
+                case["utilization"], case["period_ms"], case["work"]
+            )
+            bench.install(sim, _CHIP.cluster(core_type).spec, freq)
+
+        ref, fast = run_pair(make_config, install)
+        assert_traces_equal(ref, fast)
 
 
 class TestDeferredPower:
