@@ -4,7 +4,8 @@ With ``cohorts=True`` the :class:`~repro.runner.batch.BatchRunner` hands
 this module *fold families*: specs identical except for the two
 comparison-only governor axes (``down_threshold`` / ``hold_ms``, see
 :mod:`repro.runner.sweepfold`).  Representatives run one at a time on
-the solo :class:`~repro.sim.engine.Simulator` with a witness attached —
+the solo :class:`~repro.sim.engine.Simulator` with a witness attached,
+each the first member still unresolved in submit order —
 :func:`repro.runner.spec.prepare_app_run`, ``sim.run()``, then the exact
 per-spec tail (:func:`finish_app_run` + :func:`finalize_result`) a solo
 run uses — and every member a witness interval covers receives a copy
@@ -49,14 +50,6 @@ def group_indices(specs: Sequence[RunSpec]) -> list[list[int]]:
     return order
 
 
-#: Most representatives launched per fold family per round.  Small
-#: enough that a family with few equivalence classes wastes little work
-#: on same-class duplicates, large enough that a many-class family
-#: converges in a couple of rounds (each round retires at least one
-#: member per family, usually far more).
-FOLD_ROUND_REPS = 8
-
-
 def _run_one(spec: RunSpec, fold: bool):
     """Simulate one spec to completion; returns ``(result, witness)``.
 
@@ -78,57 +71,32 @@ def execute_cohort(specs: Sequence[RunSpec]) -> list[RunResult]:
     produced.
 
     Specs identical except for the two comparison-only governor axes
-    form *fold families* (see :mod:`repro.runner.sweepfold`):
-    representatives run with a witness attached, and every family
-    member a witness interval provably covers receives a copy of its
-    representative's result instead of a simulation.  Uncovered members
-    become the next round's representatives, so the loop retires at
-    least one member per family per round and the worst case degrades
-    to simulating everything.  Specs outside any family run once each.
+    form *fold families* (see :mod:`repro.runner.sweepfold`).  The first
+    unresolved member in submit order runs with a witness attached, and
+    every member its witness covers receives a copy of its result
+    instead of a simulation; repeat until the family is empty.  Covering
+    is an equivalence on a family, so this simulates exactly one member
+    per equivalence class.  Specs outside any family run once each.
     """
     metrics = global_metrics()
     results: list[Optional[RunResult]] = [None] * len(specs)
-
-    unresolved: dict[str, list[int]] = {}
     for group in group_indices(specs):
-        if len(group) < 2:
-            (i,) = group
-            results[i], _ = _run_one(specs[i], fold=False)
-        else:
-            unresolved[sweepfold.fold_key(specs[group[0]])] = group
-
-    while unresolved:
-        rep_family: dict[int, str] = {}
-        for key, members in unresolved.items():
-            pairs = [(i, sweepfold.swept_values(specs[i])) for i in members]
-            for i in sweepfold.pick_spread(pairs, FOLD_ROUND_REPS):
-                rep_family[i] = key
-        witnesses = {}
-        for i in rep_family:
-            results[i], witnesses[i] = _run_one(specs[i], fold=True)
-
-        # Fold: each representative's witness interval resolves every
-        # still-unresolved family member it covers.
-        for i, key in rep_family.items():
-            unresolved[key].remove(i)
-        folded = 0
-        for i, key in rep_family.items():
-            witness = witnesses[i]
-            if witness is None:
-                continue
-            members = unresolved[key]
-            covered = [
-                j
-                for j in members
-                if witness.covers(*sweepfold.swept_values(specs[j]))
-            ]
-            for j in covered:
-                results[j] = sweepfold.clone_result(results[i], specs[j])
-                members.remove(j)
-            folded += len(covered)
-        metrics.counter("engine.batch.fold.representatives").inc(len(rep_family))
-        if folded:
-            metrics.counter("engine.batch.fold.folded").inc(folded)
-        unresolved = {k: v for k, v in unresolved.items() if v}
-
+        fold = len(group) > 1
+        while group:
+            rep, *group = group
+            results[rep], witness = _run_one(specs[rep], fold)
+            uncovered = []
+            for j in group:
+                if witness is not None and witness.covers(
+                    *sweepfold.swept_values(specs[j])
+                ):
+                    results[j] = sweepfold.clone_result(results[rep], specs[j])
+                else:
+                    uncovered.append(j)
+            if fold:
+                metrics.counter("engine.batch.fold.representatives").inc()
+                metrics.counter("engine.batch.fold.folded").inc(
+                    len(group) - len(uncovered)
+                )
+            group = uncovered
     return results  # type: ignore[return-value]

@@ -21,13 +21,21 @@ comparison identically; by induction over ticks, any variant inside
 the interval produces a byte-identical trace, metrics snapshot, and
 reductions — its result can be *copied* instead of simulated.
 
+Dry-run probes (``Governor.tick_span(commit=False)``) run with the
+witness detached, so a witness records exactly the comparisons of its
+own run's committed decisions: one per window close, whichever tick
+path covers it.  A variant the witness covers takes the same branch at
+each of them, so its run is identical and its own witness would record
+the same comparisons and hence the same interval.  Covering is
+therefore an equivalence on a family, with one class per distinct
+interval.
+
 :func:`repro.runner.cohort.execute_cohort` uses this to collapse
 governor sweeps: specs identical modulo the two axes form a *fold
-family*; representatives run on the solo engine, and each witness
-interval resolves every family member it covers for free.  Busy-span
-dry-run probes also report comparisons, which can only over-constrain
-the interval — folding degrades toward running more representatives,
-never toward wrong results.
+family*; the first unresolved member runs on the solo engine, its
+witness resolves every member it covers, and the loop repeats.  Any
+witness fold needs at least one simulation per class, and this loop
+runs exactly one, whatever order it picks members in.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.runner.spec import RunResult, RunSpec
 from repro.sched.governor import InteractiveGovernor
@@ -144,25 +152,3 @@ def clone_result(result: RunResult, spec: RunSpec) -> RunResult:
     out.trace = copy.deepcopy(result.trace)
     return out
 
-
-def pick_spread(
-    pairs: Sequence[tuple[int, tuple[float, int]]], limit: int
-) -> list[int]:
-    """Up to ``limit`` indices spread evenly across the sorted axis grid.
-
-    Spreading representatives over the parameter box makes each round
-    likely to sample distinct equivalence classes (classes are interval
-    boxes, so neighbours usually fold together).
-    """
-    order = sorted(pairs, key=lambda item: item[1])
-    if len(order) <= limit:
-        return [i for i, _ in order]
-    step = (len(order) - 1) / (limit - 1)
-    picked: list[int] = []
-    seen: set[int] = set()
-    for j in range(limit):
-        i = order[round(j * step)][0]
-        if i not in seen:
-            seen.add(i)
-            picked.append(i)
-    return picked

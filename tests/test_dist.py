@@ -236,7 +236,7 @@ def test_distributed_rle_trace_is_bit_identical():
 
 
 def test_fold_family_travels_as_one_job():
-    """A 64-variant hold sweep is one job; the worker folds it onto 8
+    """A 64-variant hold sweep is one job; the worker folds it onto 7
     representatives and returns the pool's scalars for every variant."""
     specs = hold_sweep_specs()
     pool = BatchRunner(
@@ -255,7 +255,7 @@ def test_fold_family_travels_as_one_job():
     report.raise_on_failure()
     assert stats["dist.jobs_executed"] == 1
     assert stats["dist.specs_executed"] == len(specs)
-    assert reps1 - reps0 == 8
+    assert reps1 - reps0 == 7
     for local, remote in zip(pool.results, report.results):
         assert remote.scalars() == local.scalars()
     thread.join(timeout=5)

@@ -10,6 +10,7 @@ cache entries exactly as per-run execution leaves them.
 """
 
 import os
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -78,12 +79,6 @@ class TestSweepWitness:
         assert w.covers(0.01, 0)
         assert w.covers(0.99, 10_000)
 
-    def test_pick_spread_samples_extremes(self):
-        pairs = [(i, (0.5, 10 * i)) for i in range(20)]
-        picked = sweepfold.pick_spread(pairs, 4)
-        assert len(picked) == 4
-        assert picked[0] == 0 and picked[-1] == 19
-
     def test_fold_key_separates_non_swept_parameters(self):
         base = baseline_config()
         def spec(**gov):
@@ -141,6 +136,42 @@ class TestSweepFolding:
         got = execute_cohort(specs)
         self._assert_results_equal(specs, ref, got)
 
+    def test_one_representative_per_equivalence_class(self):
+        """A shuffled two-axis grid simulates exactly one member per class.
+
+        Each member's own witness names its class; covering must be that
+        equivalence, and the cohort must run no more representatives.
+        """
+        from repro.runner.spec import prepare_app_run
+
+        specs = self._grid(
+            holds=range(40, 100, 10), downs=(0.40, 0.45, 0.50, 0.55),
+            seconds=0.5,
+        )
+        random.Random(SEED).shuffle(specs)
+        intervals = []
+        for spec in specs:
+            prepared = prepare_app_run(spec)
+            w = sweepfold.install_witness(prepared.sim)
+            prepared.sim.run()
+            intervals.append((w, (w.dn_gt, w.dn_le, w.hold_lo, w.hold_hi)))
+        for w, box in intervals:
+            for spec, (_, other) in zip(specs, intervals):
+                covered = w.covers(*sweepfold.swept_values(spec))
+                assert covered == (box == other), spec.scheduler.name
+        classes = len({box for _, box in intervals})
+        assert 1 < classes < len(specs)
+
+        ref = [execute_spec(s) for s in specs]
+        reps0, folded0 = fold_counts()
+        got = execute_cohort(specs)
+        reps1, folded1 = fold_counts()
+        assert reps1 - reps0 == classes
+        assert folded1 - folded0 == len(specs) - classes
+        self._assert_results_equal(specs, ref, got)
+        for a, b in zip(ref, got):
+            assert a.reductions == b.reductions
+
     def test_cloned_results_do_not_alias(self):
         specs = self._grid(holds=(78, 80, 82))
         got = execute_cohort(specs)
@@ -165,8 +196,8 @@ class TestSweepFolding:
             ])
         assert entries[0] == entries[1]
 
-    def test_hold_sweep_folds_onto_eight_representatives(self):
-        """Folding simulates 8 of the 64 variants and clones the other 56.
+    def test_hold_sweep_folds_onto_seven_representatives(self):
+        """Folding simulates 7 of the 64 variants and clones the other 57.
 
         A fold that stops resolving members runs more representatives;
         the per-run scalars pin the clones' values.
@@ -180,7 +211,7 @@ class TestSweepFolding:
         folded = BatchRunner(workers=1, cohorts=True).run(specs)
         folded.raise_on_failure()
         reps1, folded1 = fold_counts()
-        assert (reps1 - reps0, folded1 - folded0) == (8, 56)
+        assert (reps1 - reps0, folded1 - folded0) == (7, 57)
         for a, b in zip(per_run.results, folded.results):
             assert a.scalars() == b.scalars()
 
