@@ -183,9 +183,11 @@ class DeferredPowerPipeline:
 
     When there is no thermal or GPU feedback, nothing inside a run reads
     the power columns — only post-run analyses do.  The engine then
-    records per-tick power as a placeholder and :meth:`stage`\\ s the raw
-    inputs (per-core busy fractions, activity factors, deep-idle flags);
-    :meth:`flush` computes core/cluster/system power for all staged ticks
+    records power as a placeholder and :meth:`stage`\\ s the raw inputs
+    (per-core busy fractions, activity factors, deep-idle flags) as rows
+    of one or more consecutive ticks: a reference tick stages a 1-tick
+    row, a fast-forward span one row per constant-power segment.
+    :meth:`flush` computes core/cluster/system power for all staged rows
     at once with NumPy and writes the columns back into the trace.
 
     **Bit-exactness contract** (verified by the golden-trace suite): the
@@ -204,7 +206,8 @@ class DeferredPowerPipeline:
       per-tick path performs.
 
     Frequencies are read back from the trace's already-recorded freq
-    columns, so the pipeline needs no per-tick frequency staging.
+    columns at each row's first tick, so the pipeline needs no frequency
+    staging; the ticks of one row share their frequencies.
     """
 
     #: Auto-flush threshold: bounds the Python-list staging memory on
@@ -238,18 +241,22 @@ class DeferredPowerPipeline:
                 p.deep_idle_static_fraction,
             )
         self._indices: list[int] = []
+        self._ticks: list[int] = []
         self._busy_rows: list[list[float]] = []
         self._af_rows: list[list[float]] = []
         self._deep_rows: list[list[bool]] = []
 
-    def stage(self, index, busy_fractions, activity_factors, deep_flags) -> None:
-        """Stage one tick's power inputs for trace row ``index``.
+    def stage(
+        self, index, busy_fractions, activity_factors, deep_flags, ticks=1
+    ) -> None:
+        """Stage the power inputs of trace rows ``index .. index + ticks - 1``.
 
         ``busy_fractions`` covers all cores; ``activity_factors`` and
         ``deep_flags`` cover enabled cores in core order.  The lists are
         kept by reference — callers must not mutate them afterwards.
         """
         self._indices.append(index)
+        self._ticks.append(ticks)
         self._busy_rows.append(busy_fractions)
         self._af_rows.append(activity_factors)
         self._deep_rows.append(deep_flags)
@@ -257,15 +264,16 @@ class DeferredPowerPipeline:
             self.flush()
 
     def flush(self) -> None:
-        """Compute and write back power for all staged ticks."""
+        """Compute and write back power for all staged rows."""
         if not self._indices:
             return
         trace = self._trace
         idx = np.asarray(self._indices, dtype=np.intp)
+        ticks = np.asarray(self._ticks, dtype=np.intp)
         busy = np.asarray(self._busy_rows, dtype=np.float64)
         af = np.asarray(self._af_rows, dtype=np.float64)
         deep = np.asarray(self._deep_rows, dtype=bool)
-        self._indices, self._busy_rows = [], []
+        self._indices, self._ticks, self._busy_rows = [], [], []
         self._af_rows, self._deep_rows = [], []
 
         pm = self._pm
@@ -317,4 +325,10 @@ class DeferredPowerPipeline:
         ]
         base = pm.params.base_mw + pm.params.screen_mw
         system = (base + core_sum) + sum(cluster_powers)
-        trace.fill_power(idx, system, little_sum, big_sum)
+        # One entry per trace row: staged row k covers ``ticks[k]`` rows
+        # from ``idx[k]``, and its first entry lands at ``cumsum - ticks``.
+        rows = np.repeat(idx - (np.cumsum(ticks) - ticks), ticks)
+        trace.fill_power(
+            rows + np.arange(len(rows)),
+            *(np.repeat(column, ticks) for column in (system, little_sum, big_sum)),
+        )

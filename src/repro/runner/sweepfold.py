@@ -12,8 +12,8 @@ The interactive governor has exactly two such parameters:
   ``ticks_since_raise < hold_ms`` test guarded by the former.
 
 Every frequency decision of the engine flows through that one
-function (the per-tick window close and the idle/busy fast-forward
-replays), so a
+function, at the window closes of ``InteractiveGovernor.tick_span``
+(a reference tick is its one-tick span), so a
 :class:`SweepWitness` attached there sees *every* read of the two
 parameters a run performs.  The witness maintains the interval of
 alternative parameter values that would have resolved every observed

@@ -84,6 +84,25 @@ class ClusterFreqDomain:
         return self.opp_table.voltage_at(self.freq_khz)
 
 
+#: ``busy_by_core`` of a reference tick, whose cores accrued their own.
+_NO_BUSY: dict[int, float] = {}
+
+
+def _accrue_windows(
+    cores: list[SimCore], busy_by_core: dict[int, float], n_ticks: int
+) -> None:
+    """Add ``n_ticks`` ticks of each core's constant busy seconds to its
+    ``busy_in_window_s``, one tick at a time (a tight loop, not a
+    product, so the sum is bit-exact with per-tick accumulation)."""
+    for core in cores:
+        add = busy_by_core.get(core.core_id, 0.0)
+        if add != 0.0:
+            v = core.busy_in_window_s
+            for _ in range(n_ticks):
+                v += add
+            core.busy_in_window_s = v
+
+
 class Governor:
     """Interface: called by the engine once per tick per cluster domain."""
 
@@ -183,34 +202,16 @@ class InteractiveGovernor(Governor):
         return domain.opp_table.ceil(raw)
 
     def tick(self, domain: ClusterFreqDomain, tick_index: int, tick_s: float) -> None:
-        self._window_ticks += 1
-        self._ticks_since_raise += 1
-        if self._boost_ticks_left > 0:
-            self._boost_ticks_left -= 1
-        if self._window_ticks < self._sampling_ticks:
-            return
-        # Close the sampling window and re-evaluate the cluster frequency.
-        window_s = self._window_ticks * tick_s
-        self._window_ticks = 0
-        if not domain.cores:
-            return
-        util = max(min(1.0, c.busy_in_window_s / window_s) for c in domain.cores)
-        for core in domain.cores:
-            core.busy_in_window_s = 0.0
-        new_freq = self._next_freq_value(
-            domain, domain.freq_khz, util, self._ticks_since_raise
-        )
-        if self._boost_ticks_left > 0:
-            new_freq = max(new_freq, self.hispeed_khz(domain))
-        if new_freq > domain.freq_khz:
-            self._ticks_since_raise = 0
-        domain.set_freq(new_freq)
+        """One reference tick: the one-tick span.  The engine's executed
+        cores have already accrued this tick's busy time into their
+        windows, so the span adds none."""
+        self.tick_span(domain, tick_index, 1, tick_s, _NO_BUSY, True)
 
     def _next_freq_value(
         self, domain: ClusterFreqDomain, freq: int, util: float, ticks_since_raise: int
     ) -> int:
         """Algorithm 2's frequency decision as a pure function of explicit
-        state, shared by the per-tick path and the span replay."""
+        state, so dry runs can evaluate it without touching the domain."""
         p = self.params
         target = domain.opp_table.ceil(int(freq * util / p.target_load))
         if util > p.target_load:
@@ -244,25 +245,36 @@ class InteractiveGovernor(Governor):
         busy_by_core: dict[int, float],
         commit: bool,
     ) -> Optional[list[tuple[int, int]]]:
-        """O(boundaries + busy ticks) span replay (see base docstring).
+        """O(boundaries + busy ticks) span replay (see base docstring);
+        the governor's only decision path, :meth:`tick` being its
+        one-tick case.
 
         Between boundaries each tick only increments counters and adds a
         constant to the busy cores' ``busy_in_window_s`` (nothing, in an
-        idle span); the additions are replayed as a tight scalar loop
-        (not a closed form) so the window sums — and therefore every
-        utilization and frequency decision — are bit-exact with the
-        per-tick path.
+        idle span or a reference tick); the additions are replayed as a
+        tight scalar loop (not a closed form) so the window sums — and
+        therefore every utilization and frequency decision — are
+        bit-exact with accumulating them one tick at a time.
         """
-        if self._sampling_ticks <= 0:  # not started; stay on the exact loop
-            return super().tick_span(
-                domain, start_tick, n_ticks, tick_s, busy_by_core, commit
-            )
+        filled = self._window_ticks + n_ticks
+        if filled < self._sampling_ticks:
+            # No sampling window closes, so there is no decision to make.
+            if commit:
+                self._window_ticks = filled
+                self._ticks_since_raise += n_ticks
+                if self._boost_ticks_left > 0:
+                    self._boost_ticks_left = max(0, self._boost_ticks_left - n_ticks)
+                if busy_by_core:
+                    _accrue_windows(domain.cores, busy_by_core, n_ticks)
+            return []
+        if self._sampling_ticks <= 0:
+            raise RuntimeError("InteractiveGovernor ticked before start()")
         witness = self._witness
         if witness is not None and not commit:
-            # Dry-run probes revisit decisions the engine either commits
-            # through this method (re-evaluated then) or reaches on the
-            # per-tick path; recording them here would only narrow the
-            # fold interval with comparisons that never shape state.
+            # Dry-run probes revisit decisions the engine later commits
+            # through this method (re-evaluated then); recording them
+            # here would only narrow the fold interval with comparisons
+            # that never shape state.
             self._witness = None
             try:
                 return self.tick_span(
@@ -277,7 +289,7 @@ class InteractiveGovernor(Governor):
         boost = self._boost_ticks_left
         freq = domain.freq_khz
         window = [c.busy_in_window_s for c in cores]
-        adds = [busy_by_core.get(c.core_id, 0.0) for c in cores]
+        adds = [busy_by_core.get(c.core_id, 0.0) for c in cores] if busy_by_core else ()
         changes: list[tuple[int, int]] = []
         done = 0
         while done < n_ticks:
@@ -343,13 +355,7 @@ class PinnedGovernor(Governor):
         # (never read by a pinned governor, but kept bit-exact so engine
         # state after a span matches the tick-by-tick loop).
         if commit:
-            for core in domain.cores:
-                add = busy_by_core.get(core.core_id, 0.0)
-                if add != 0.0:
-                    v = core.busy_in_window_s
-                    for _ in range(n_ticks):
-                        v += add
-                    core.busy_in_window_s = v
+            _accrue_windows(domain.cores, busy_by_core, n_ticks)
         return []
 
 

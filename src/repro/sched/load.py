@@ -44,16 +44,9 @@ class LoadTracker:
         return self._value
 
     def update(self, sample: float) -> float:
-        """Fold in one tick's load sample (0..1024) and return the average.
-
-        The EWMA form ``v = d*v + (1-d)*s`` makes a sustained sample of S
-        converge to exactly S, and weights a sample from one half-life ago
-        by 50% relative to the newest — matching the paper's description.
-        """
-        if not 0.0 <= sample <= LOAD_SCALE:
-            raise ValueError(f"sample must be in [0, {LOAD_SCALE}], got {sample}")
-        self._value = self._decay * self._value + (1.0 - self._decay) * sample
-        return self._value
+        """Fold in one tick's load sample (0..1024) and return the average:
+        the one-tick :meth:`advance`."""
+        return self.advance(sample, 1)
 
     @property
     def decay_factor(self) -> float:
@@ -63,9 +56,10 @@ class LoadTracker:
     def advance(self, sample: float, ticks: int) -> float:
         """Fold in ``ticks`` consecutive identical samples and return the average.
 
-        Bit-exact equivalent of calling :meth:`update` ``ticks`` times with
-        the same ``sample``: the loop performs the same two multiplies and
-        one add per tick, in the same order, so fast-forwarded spans land
+        The EWMA form ``v = d*v + (1-d)*s`` makes a sustained sample of S
+        converge to exactly S, and weights a sample from one half-life ago
+        by 50% relative to the newest — matching the paper's description.
+        A span is replayed one tick at a time, so fast-forwarded spans land
         on the identical IEEE-754 value as tick-by-tick execution.  (The
         closed form ``d**n * v + (1 - d**n) * s`` is *not* bit-exact, which
         is why a tight scalar loop is used instead.)
@@ -77,8 +71,11 @@ class LoadTracker:
         d = self._decay
         contrib = (1.0 - d) * sample
         v = self._value
-        for _ in range(ticks):
+        # A countdown, not ``range``: the reference tick folds one tick at
+        # a time, and this loop has the least fixed cost.
+        while ticks:
             v = d * v + contrib
+            ticks -= 1
         self._value = v
         return v
 

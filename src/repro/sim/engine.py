@@ -42,12 +42,25 @@ The replay runs the governors over the span
 paths are pinned off with ``SimConfig(fastpath=False)`` or
 ``REPRO_ENGINE_FASTPATH=0``.
 
-**Deferred power.**  For ticks that are stepped normally, power is not
-computed per tick when there is no thermal/GPU feedback: ``_record_tick``
-stages (busy, activity, idle-state) rows and
-:class:`repro.platform.power.DeferredPowerPipeline` computes the
-system/cluster/core power columns vectorized at the end of the run,
-bit-exact with the per-tick path.
+**One tick path.**  ``_step`` (a reference tick) and ``_fast_forward``
+(a span) are two entry points over shared phases; the reference tick runs
+each phase that has a span form as a one-tick span.  Loads fold through
+``LoadTracker.advance(sample, 1)``; :meth:`InteractiveGovernor.tick` is
+a one-tick ``tick_span(commit=True)``; and with no thermal/GPU feedback
+(nothing in the run reads power) both record a placeholder and
+stage power inputs into :class:`repro.platform.power.DeferredPowerPipeline`
+— a 1-tick row per reference tick, one multi-tick row per
+constant-power span segment — which computes the power columns
+vectorized at the end of the run.  A span computes no power, so it
+requires the pipeline: ``fastpath_enabled`` implies
+``deferred_power_enabled``, and spans refuse while tick hooks (the one
+other thing that keeps the pipeline off) are set.  ``_record_tick``'s
+scalar power is the oracle, used by pinned-off, thermal, GPU and
+tick-hook runs.  Execution keeps two forms, ``Task.run_for``
+water-filling per tick and ``Task.fastforward_steady`` per span
+segment: a reference tick can finish a directive mid-tick and run the
+next one or hand its unused share to other tasks, which a span, cut
+one decrement short of any exhaustion, never does.
 """
 
 from __future__ import annotations
@@ -55,6 +68,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -757,39 +771,32 @@ class Simulator:
         loads advance through :meth:`LoadTracker.advance` and work
         through :meth:`Task.fastforward_steady` per frequency segment,
         and the trace is backfilled in piecewise-constant
-        ``record_block`` segments with every float computed and
-        accumulated as ``_record_tick`` would.
+        ``record_block`` segments, each staged as one power pipeline row.
         """
         core_plans, busy_by_core, contention = plan
         start = self.tick
-        pm = self._pm
         tick_s = self.tick_s
         deep_entry = self._deep_entry_ticks
-        dom_little = self._dom_little
-        dom_big = self._dom_big
-        freq_little = dom_little.freq_khz
-        freq_big = dom_big.freq_khz
+        freq_little = self._dom_little.freq_khz
+        freq_big = self._dom_big.freq_khz
 
         changes: dict[CoreType, list[tuple[int, int]]] = {
             CoreType.LITTLE: [],
             CoreType.BIG: [],
         }
-        if self.obs is None:
+        obs = self.obs
+        if obs is not None:
+            span_event = BusyFastForward if core_plans else IdleFastForward
+            obs.emit(span_event(n_ticks=n, tick=start))
+        # The replay goes through the ordinary set_freq path, whose
+        # emissions would all carry the span's start tick; mute it and
+        # re-emit each change with its exact historical tick.
+        with obs.muted() if obs is not None else nullcontext():
             for governor, domain in self._governed:
                 changes[domain.core_type] = governor.tick_span(
                     domain, start, n, tick_s, busy_by_core, commit=True
                 )
-        else:
-            # The replay goes through the ordinary set_freq path, whose
-            # emissions would all carry the span's start tick; mute it
-            # and re-emit each change with its exact historical tick.
-            span_event = BusyFastForward if core_plans else IdleFastForward
-            self.obs.emit(span_event(n_ticks=n, tick=start))
-            with self.obs.muted():
-                for governor, domain in self._governed:
-                    changes[domain.core_type] = governor.tick_span(
-                        domain, start, n, tick_s, busy_by_core, commit=True
-                    )
+        if obs is not None:
             self._emit_span_freq_changes(
                 changes, start,
                 {CoreType.LITTLE: freq_little, CoreType.BIG: freq_big},
@@ -830,27 +837,29 @@ class Simulator:
             core.nr_start = n_rq
             core.memory_contention = contention
 
-        # Each enabled core's power inputs are constant over the span:
-        # ``(core_type, is_little, busy fraction, activity factor,
-        # idle base)``, where the idle base is an idle core's idle-tick
-        # count at span start (None for a busy core, which never enters
-        # deep idle).  The trace is piecewise-constant between span ends,
-        # governor changes (recorded at their offset), and idle cores'
-        # deep-idle entries (each crosses the threshold at most once).
+        # Each enabled core's power inputs are constant over the span,
+        # except that an idle core enters deep idle at most once.  The
+        # trace is piecewise-constant between span ends, governor changes
+        # (recorded at their offset) and those deep-idle entries; each
+        # piece is recorded as one block and staged as one multi-tick row
+        # of the power pipeline, which reference ticks stage into too.
+        dp = self._deferred
+        assert dp is not None, "spans run only with the deferred power pipeline"
         busy_all = [0.0] * len(self.cores)
-        rows = []
+        afs = []
+        # Per enabled core, its idle-tick count at span start (None for a
+        # busy core, which never enters deep idle).
+        idle_bases = []
         cuts = {0, n}
         for change_list in changes.values():
             for offset, _ in change_list:
                 cuts.add(offset)
         deep_min = math.ceil(deep_entry)  # smallest idle-tick count that is deep
         for core in self._enabled_cores:
-            is_little = core.core_type is CoreType.LITTLE
             if core.core_id in busy_by_core:
-                bf = busy_all[core.core_id] = core.busy_fraction(tick_s)
-                rows.append(
-                    (core.core_type, is_little, bf, core.mean_activity_factor(), None)
-                )
+                busy_all[core.core_id] = core.busy_fraction(tick_s)
+                afs.append(core.mean_activity_factor())
+                idle_bases.append(None)
                 core.idle_ticks = 0
                 continue
             if core.tick_tasks:
@@ -860,12 +869,12 @@ class Simulator:
             crossing = deep_min - base - 1
             if 0 < crossing < n:
                 cuts.add(crossing)
-            rows.append((core.core_type, is_little, 0.0, 1.0, base))
+            afs.append(1.0)
+            idle_bases.append(base)
             core.idle_ticks = base + n
         busy_deep = 0 >= deep_entry
-        busy_arg = busy_all if core_plans else 0.0
 
-        cluster_powers = self._cluster_powers
+        trace = self.trace
         i_little = i_big = 0
         ordered_cuts = sorted(cuts)
         for a, b in zip(ordered_cuts, ordered_cuts[1:]):
@@ -875,36 +884,14 @@ class Simulator:
             while i_big < len(big_changes) and big_changes[i_big][0] <= a:
                 freq_big = big_changes[i_big][1]
                 i_big += 1
-            volt_little = dom_little.opp_table.voltage_at(freq_little)
-            volt_big = dom_big.opp_table.voltage_at(freq_big)
-            core_powers = []
-            little_cpu_mw = big_cpu_mw = 0.0
-            for core_type, is_little, busy, af, base in rows:
-                # Same comparison as _record_tick: after this tick's
-                # increment an idle core has been idle base + a + 1 ticks.
-                deep = busy_deep if base is None else base + a + 1 >= deep_entry
-                if is_little:
-                    core_mw = pm.core_power_mw(
-                        core_type, freq_little, volt_little, busy, af, deep_idle=deep
-                    )
-                    little_cpu_mw += core_mw
-                else:
-                    core_mw = pm.core_power_mw(
-                        core_type, freq_big, volt_big, busy, af, deep_idle=deep
-                    )
-                    big_cpu_mw += core_mw
-                core_powers.append(core_mw)
-            power = pm.system_power_mw(core_powers, cluster_powers)
-            self.trace.record_block(
-                b - a,
-                freq_little,
-                freq_big,
-                power,
-                wakeups=0,
-                little_cpu_mw=little_cpu_mw,
-                big_cpu_mw=big_cpu_mw,
-                busy_fraction=busy_arg,
-            )
+            # Same comparison as _record_tick: after this tick's increment
+            # an idle core has been idle base + a + 1 ticks.
+            deeps = [
+                busy_deep if base is None else base + a + 1 >= deep_entry
+                for base in idle_bases
+            ]
+            trace.record_block(b - a, busy_all, freq_little, freq_big)
+            dp.stage(len(trace) - (b - a), busy_all, afs, deeps, b - a)
 
         # Every busy core accrues a positive busy time each tick.
         self._busy_cores_prev = len(core_plans)
@@ -965,7 +952,7 @@ class Simulator:
                 if task.state is TaskState.FINISHED:
                     continue
                 runnable_frac = min(1.0, task.busy_in_tick_s * n / self.tick_s)
-                task.load.update(runnable_frac * freq_scale * LOAD_SCALE)
+                task.load.advance(runnable_frac * freq_scale * LOAD_SCALE, 1)
 
     def _record_tick(self) -> None:
         deep_entry_ticks = self._deep_entry_ticks
@@ -994,11 +981,8 @@ class Simulator:
         self._busy_cores_prev = n_busy
         dp = self._deferred
         if dp is not None:
-            # Deferred power: record only the raw per-tick columns now
-            # (busy, freqs, wakeups) with a power placeholder, and stage
-            # the power inputs; DeferredPowerPipeline.flush backfills
-            # the power columns vectorized, bit-exact with the scalar
-            # path below.  Only reachable with thermal and GPU disabled.
+            # Record a power placeholder and stage a 1-tick pipeline row;
+            # the scalar path below is its oracle.
             self.trace.record(
                 busy,
                 dom_little.freq_khz,

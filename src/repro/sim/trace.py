@@ -63,13 +63,9 @@ class Trace:
     def record_block(
         self,
         n_ticks: int,
+        busy_fractions: list[float],
         little_freq_khz: int,
         big_freq_khz: int,
-        power_mw: float,
-        wakeups: int = 0,
-        little_cpu_mw: float = 0.0,
-        big_cpu_mw: float = 0.0,
-        busy_fraction: "float | list[float]" = 0.0,
     ) -> None:
         """Record ``n_ticks`` consecutive ticks sharing one set of values.
 
@@ -78,11 +74,9 @@ class Trace:
         vectorized assignment per column.  Values land in the arrays
         exactly as ``n_ticks`` individual :meth:`record` calls would
         (identical float32 casts), so fast-forwarded traces stay
-        bit-exact with tick-by-tick recording.
-
-        ``busy_fraction`` is either one scalar applied to every core
-        (an idle span) or a length-``n_cores`` sequence of per-core
-        fractions held constant across the span (a busy span).
+        bit-exact with tick-by-tick recording.  The wakeup and power
+        columns keep their zeros: a span has no wake-ups, and its power
+        is staged in the deferred power pipeline, which fills them.
         """
         if n_ticks <= 0:
             raise ValueError(f"n_ticks must be positive, got {n_ticks}")
@@ -93,16 +87,9 @@ class Trace:
                 f"trace capacity exceeded: needed {j} ticks but only "
                 f"{self._busy.shape[1]} were preallocated"
             )
-        if isinstance(busy_fraction, (int, float)):
-            self._busy[:, i:j] = busy_fraction
-        else:
-            self._busy[:, i:j] = np.asarray(busy_fraction, dtype=np.float32)[:, None]
+        self._busy[:, i:j] = np.asarray(busy_fractions, dtype=np.float32)[:, None]
         self._freq[0, i:j] = little_freq_khz
         self._freq[1, i:j] = big_freq_khz
-        self._power[i:j] = power_mw
-        self._cpu_power[0, i:j] = little_cpu_mw
-        self._cpu_power[1, i:j] = big_cpu_mw
-        self._wakeups[i:j] = wakeups
         self._len = j
 
     def fill_power(self, indices: np.ndarray, system_mw: np.ndarray,

@@ -1,10 +1,17 @@
 """Tests for the calibrated power model."""
 
+import numpy as np
 import pytest
 
 from repro.platform.chip import exynos5422
 from repro.platform.coretypes import CoreType
-from repro.platform.power import CorePowerParams, PowerModel, PowerParams
+from repro.platform.power import (
+    CorePowerParams,
+    DeferredPowerPipeline,
+    PowerModel,
+    PowerParams,
+)
+from repro.sim.trace import Trace
 
 
 @pytest.fixture
@@ -98,3 +105,66 @@ class TestSystemPower:
 
     def test_disabled_cluster_draws_nothing(self, chip):
         assert chip.power_model.cluster_power_mw(CoreType.BIG, False) == 0.0
+
+
+class TestDeferredPowerPipeline:
+    """One staged n-tick row is n staged 1-tick rows."""
+
+    # Four little cores then four big ones, one of each disabled.
+    CORE_TYPES = [CoreType.LITTLE] * 4 + [CoreType.BIG] * 4
+    ENABLED = [True, True, True, False, True, True, False, True]
+
+    def _pipeline(self, chip, n_ticks):
+        trace = Trace(self.CORE_TYPES, self.ENABLED, max_ticks=n_ticks)
+        pipeline = DeferredPowerPipeline(
+            chip.power_model, trace, self.CORE_TYPES, self.ENABLED,
+            {
+                CoreType.LITTLE: chip.little_cluster.opp_table,
+                CoreType.BIG: chip.big_cluster.opp_table,
+            },
+        )
+        # Small enough that both sides flush mid-sequence.
+        pipeline._FLUSH_THRESHOLD = 3
+        return trace, pipeline
+
+    def test_multi_tick_rows_match_one_tick_rows(self, chip):
+        rng = np.random.default_rng(0)
+        little = sorted(chip.little_cluster.opp_table.frequencies_khz)
+        big = sorted(chip.big_cluster.opp_table.frequencies_khz)
+        n_enabled = sum(self.ENABLED)
+        rows = []
+        for ticks in (1, 5, 3, 1, 8, 2, 4):
+            busy = [
+                float(rng.choice([0.0, 1.0, rng.random()])) if on else 0.0
+                for on in self.ENABLED
+            ]
+            afs = [float(rng.uniform(0.5, 1.5)) for _ in range(n_enabled)]
+            deeps = [bool(rng.random() < 0.5) for _ in range(n_enabled)]
+            rows.append((
+                ticks, int(rng.choice(little)), int(rng.choice(big)),
+                busy, afs, deeps,
+            ))
+        n_ticks = sum(row[0] for row in rows)
+
+        block_trace, blocks = self._pipeline(chip, n_ticks)
+        for k, (ticks, f_little, f_big, busy, afs, deeps) in enumerate(rows):
+            block_trace.record_block(ticks, busy, f_little, f_big)
+            blocks.stage(len(block_trace) - ticks, busy, afs, deeps, ticks)
+            if k == 2:
+                assert not blocks._indices  # rows 0-2 flushed, 3-6 not yet
+        blocks.flush()
+
+        tick_trace, ticks_pipe = self._pipeline(chip, n_ticks)
+        for ticks, f_little, f_big, busy, afs, deeps in rows:
+            for _ in range(ticks):
+                tick_trace.record(busy, f_little, f_big, 0.0)
+                ticks_pipe.stage(len(tick_trace) - 1, busy, afs, deeps)
+        ticks_pipe.flush()
+
+        assert np.all(block_trace.power_mw > 0.0)
+        assert np.array_equal(block_trace.power_mw, tick_trace.power_mw)
+        for core_type in (CoreType.LITTLE, CoreType.BIG):
+            assert np.array_equal(
+                block_trace.cpu_power_mw(core_type),
+                tick_trace.cpu_power_mw(core_type),
+            )

@@ -1,13 +1,17 @@
 """Tests for the interactive frequency governor (paper Algorithm 2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.platform.coretypes import CoreType, cortex_a7
 from repro.platform.opp import little_opp_table
+from repro.runner.sweepfold import SweepWitness
 from repro.sched.governor import (
     ClusterFreqDomain,
     FixedFrequencyGovernor,
     InteractiveGovernor,
+    OndemandGovernor,
     PerformanceGovernor,
 )
 from repro.sched.params import GovernorParams
@@ -151,6 +155,136 @@ class TestInteractiveGovernor:
         gov.start(domain)
         feed(gov, domain, cores, 1.0, ticks=20)
         assert cores[0].busy_in_window_s == 0.0
+
+
+class TestNotStarted:
+    def test_tick_before_start_raises(self):
+        domain, _ = make_domain()
+        gov = InteractiveGovernor(GovernorParams())
+        with pytest.raises(RuntimeError, match="before start"):
+            gov.tick(domain, 0, TICK_S)
+        with pytest.raises(RuntimeError, match="before start"):
+            gov.tick_span(domain, 0, 40, TICK_S, {}, commit=False)
+
+
+_OPPS = sorted(little_opp_table().frequencies_khz)
+
+#: One piece of a piecewise-constant schedule: its length, each core's
+#: busy seconds per tick, an input boost before it, and a thermal cap
+#: set before it (``None`` keeps the current cap).
+_pieces = st.lists(
+    st.tuples(
+        st.integers(1, 90),
+        st.lists(
+            st.sampled_from([0.0, TICK_S, TICK_S / 3, 0.0004, 0.00095]),
+            min_size=3, max_size=3,
+        ),
+        st.booleans(),
+        st.one_of(st.none(), st.sampled_from(_OPPS)),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+def _state(gov, domain):
+    state = {
+        "freq": domain.freq_khz,
+        "cap": domain.cap_khz,
+        "windows": [c.busy_in_window_s for c in domain.cores],
+        "core_freqs": [c.freq_khz for c in domain.cores],
+    }
+    for name in ("_window_ticks", "_ticks_since_raise", "_boost_ticks_left"):
+        if hasattr(gov, name):
+            state[name] = getattr(gov, name)
+    witness = getattr(gov, "_witness", None)
+    if witness is not None:
+        state["witness"] = (
+            witness.dn_gt, witness.dn_le, witness.hold_lo, witness.hold_hi,
+        )
+    return state
+
+
+class TestSpanCommitEqualsSteps:
+    """Committing a piece with ``tick_span`` leaves the state that
+    stepping it one tick at a time does, as the engine's fast-forward
+    relies on."""
+
+    @staticmethod
+    def _check(make_governor, pieces, idle_only=False):
+        span_domain, _ = make_domain(3)
+        step_domain, _ = make_domain(3)
+        span_gov, step_gov = make_governor(), make_governor()
+        if isinstance(span_gov, InteractiveGovernor):
+            span_gov._witness, step_gov._witness = SweepWitness(), SweepWitness()
+        span_gov.start(span_domain)
+        step_gov.start(step_domain)
+        tick = 0
+        for n, busy, boost, cap in pieces:
+            busy_by_core = {
+                core_id: b for core_id, b in enumerate(busy)
+                if b and not idle_only
+            }
+            for gov, domain in ((span_gov, span_domain), (step_gov, step_domain)):
+                if boost:
+                    getattr(gov, "notify_input", lambda d: None)(domain)
+                if cap is not None:
+                    domain.set_cap(cap)
+
+            before = _state(span_gov, span_domain)
+            dry = span_gov.tick_span(
+                span_domain, tick, n, TICK_S, busy_by_core, commit=False
+            )
+            assert _state(span_gov, span_domain) == before  # a pure dry run
+            changes = span_gov.tick_span(
+                span_domain, tick, n, TICK_S, busy_by_core, commit=True
+            )
+            if dry is not None:
+                assert dry == changes
+
+            stepped = []
+            for offset in range(n):
+                for core in step_domain.cores:
+                    core.busy_in_window_s += busy_by_core.get(core.core_id, 0.0)
+                freq = step_domain.freq_khz
+                step_gov.tick(step_domain, tick + offset, TICK_S)
+                if step_domain.freq_khz != freq:
+                    stepped.append((offset, step_domain.freq_khz))
+            assert changes == stepped
+            assert _state(span_gov, span_domain) == _state(step_gov, step_domain)
+            tick += n
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pieces=_pieces,
+        sampling_ms=st.integers(1, 30),
+        down_threshold=st.sampled_from([0.2, 0.35, 0.5, 0.65]),
+        hold_ms=st.integers(0, 120),
+        input_boost_ms=st.sampled_from([0, 15, 80]),
+        hispeed_enabled=st.booleans(),
+    )
+    def test_interactive(
+        self, pieces, sampling_ms, down_threshold, hold_ms, input_boost_ms,
+        hispeed_enabled,
+    ):
+        params = GovernorParams(
+            sampling_ms=sampling_ms, down_threshold=down_threshold,
+            hold_ms=hold_ms, input_boost_ms=input_boost_ms,
+            hispeed_enabled=hispeed_enabled,
+        )
+        self._check(lambda: InteractiveGovernor(params), pieces)
+
+    @settings(max_examples=20, deadline=None)
+    @given(pieces=_pieces, freq=st.sampled_from(_OPPS))
+    def test_pinned(self, pieces, freq):
+        self._check(lambda: FixedFrequencyGovernor(freq), pieces)
+
+    @settings(max_examples=20, deadline=None)
+    @given(pieces=_pieces, sampling_ms=st.integers(1, 30))
+    def test_ondemand_idle(self, pieces, sampling_ms):
+        self._check(
+            lambda: OndemandGovernor(sampling_ms=sampling_ms), pieces,
+            idle_only=True,
+        )
 
 
 class TestFixedGovernors:
