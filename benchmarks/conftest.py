@@ -12,15 +12,16 @@ benchmark timer reports the cost of regenerating each artifact.
 
 import pytest
 
-from repro.core.study import CharacterizationStudy
+from repro.runner import BatchRunner, ResultCache
 
 SEED = 7
 
 
 @pytest.fixture(scope="session")
-def study():
-    """One shared study: Tables III-V and Figures 9-10 reuse its runs."""
-    return CharacterizationStudy(seed=SEED)
+def runner(tmp_path_factory):
+    """One shared cached runner: Tables III-V and Figures 9-10 reuse its runs."""
+    cache = ResultCache(root=str(tmp_path_factory.mktemp("study-cache")))
+    return BatchRunner(workers=1, cache=cache)
 
 
 def run_artifact(benchmark, fn, *args, **kwargs):

@@ -1,12 +1,12 @@
 """Figures 9 and 10: frequency residency of little and big clusters."""
 
-from benchmarks.conftest import run_artifact
+from benchmarks.conftest import SEED, run_artifact
 from repro.experiments.fig09_10_freq import run_frequency_residency
 from repro.platform.coretypes import CoreType
 
 
-def test_fig9_fig10_frequency_residency(benchmark, study):
-    result = run_artifact(benchmark, run_frequency_residency, study=study)
+def test_fig9_fig10_frequency_residency(benchmark, runner):
+    result = run_artifact(benchmark, run_frequency_residency, seed=SEED, runner=runner)
 
     little = result.residency[CoreType.LITTLE]
     big = result.residency[CoreType.BIG]

@@ -1,11 +1,11 @@
 """Tables III and IV: TLP and activity matrices for the 12 applications."""
 
-from benchmarks.conftest import run_artifact
+from benchmarks.conftest import SEED, run_artifact
 from repro.experiments.table3_4_tlp import run_tlp_tables
 
 
-def test_table3_table4_tlp(benchmark, study):
-    result = run_artifact(benchmark, run_tlp_tables, study=study)
+def test_table3_table4_tlp(benchmark, runner):
+    result = run_artifact(benchmark, run_tlp_tables, seed=SEED, runner=runner)
 
     stats = result.stats
     # Paper shape: TLP below ~3 everywhere except BBench (~4).

@@ -1,11 +1,11 @@
 """Table V: scheduler/governor efficiency decomposition."""
 
-from benchmarks.conftest import run_artifact
+from benchmarks.conftest import SEED, run_artifact
 from repro.experiments.table5_efficiency import run_efficiency_table
 
 
-def test_table5_efficiency(benchmark, study):
-    result = run_artifact(benchmark, run_efficiency_table, study=study)
+def test_table5_efficiency(benchmark, runner):
+    result = run_artifact(benchmark, run_efficiency_table, seed=SEED, runner=runner)
     breakdowns = result.breakdowns
 
     # Each row is a partition of the run.

@@ -9,6 +9,7 @@ of whether it would survive on a little-only platform.
 Run:  python examples/custom_app.py
 """
 
+from repro.core.reductions import WARMUP_S
 from repro.core.report import render_matrix, render_table
 from repro.core.study import run_app
 from repro.core.tlp import tlp_stats
@@ -56,7 +57,7 @@ def main() -> None:
     chip = exynos5422(screen_on=True)
     run = run_app("navigation", chip=chip, app=NavigationApp(),
                   seed=3, max_seconds=20.0)
-    steady = run.trace.trimmed(1.0)
+    steady = run.trace.trimmed(WARMUP_S)
 
     stats = tlp_stats(steady)
     print(render_table(

@@ -3,15 +3,15 @@
 Runs BBench under the default HMP scheduler + interactive governor on
 the 4+4 Exynos-5422-like chip, then prints the paper's per-app analyses:
 TLP statistics (Table III row), the (big, little) activity matrix
-(Table IV), frequency residency (Figures 9/10), and the efficiency
-decomposition (Table V row).
+(Table IV), the efficiency decomposition (Table V row), and the
+little-cluster frequency residency (Figure 9).
 
 Run:  python examples/quickstart.py [app-name] [seed]
 """
 
 import sys
 
-from repro.core.report import render_matrix, render_table
+from repro.core.report import render_table
 from repro.core.study import CharacterizationStudy
 from repro.workloads.mobile import MOBILE_APP_NAMES
 
@@ -25,28 +25,14 @@ def main() -> None:
     study = CharacterizationStudy(seed=seed)
     c = study.characterize(app)
 
-    s = c.tlp
-    print(render_table(
-        ["idle %", "little %", "big %", "TLP"],
-        [[s.idle_pct, s.little_only_pct, s.big_active_pct, s.tlp]],
-        title=f"{app}: TLP statistics (Table III row)",
-    ))
+    print(c.render())  # Table III row, Table IV matrix, Table V row
     print()
-    print(render_matrix(c.matrix, title=f"{app}: active-core distribution % (Table IV)"))
-    print()
-
     freqs = sorted(c.little_residency)
     print(render_table(
         [f"{f/1e6:.1f}GHz" for f in freqs],
         [[c.little_residency[f] for f in freqs]],
         title=f"{app}: little-cluster frequency residency % (Figure 9)",
         float_fmt="{:.1f}",
-    ))
-    print()
-    print(render_table(
-        ["min", "<50%", "50-70%", "70-95%", ">95%", "full"],
-        [c.efficiency.as_row()],
-        title=f"{app}: efficiency decomposition % (Table V row)",
     ))
 
     run = c.run

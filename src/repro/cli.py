@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
-from repro.core.report import render_matrix, render_table
-from repro.core.study import CharacterizationStudy
+from repro.core.report import render_table
+from repro.core.study import CharacterizationStudy, build_app_sim, install_and_run
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.obs.logsetup import add_verbosity_args, get_logger, setup_from_args
 from repro.workloads.mobile import MOBILE_APP_NAMES
@@ -51,45 +50,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _single_app_sim(
-    app_name: str,
-    seed: int,
-    max_seconds: Optional[float] = None,
-    fastpath: bool = True,
-):
-    """``(app, sim)`` for one app on the screen-on Exynos 5422.
-
-    ``max_seconds=None`` applies the app-family convention (12 s FPS
-    steady state, 60 s latency cap).  The app is not installed yet, so
-    observers can attach to ``sim`` before ``app.install(sim)``.
-    """
-    from repro.core.study import FPS_APP_SECONDS, LATENCY_APP_CAP_SECONDS
-    from repro.platform.chip import exynos5422
-    from repro.sim.engine import SimConfig, Simulator
-    from repro.workloads.base import Metric
-    from repro.workloads.mobile import make_app
-
-    app = make_app(app_name)
-    if max_seconds is None:
-        max_seconds = (
-            FPS_APP_SECONDS if app.metric is Metric.FPS else LATENCY_APP_CAP_SECONDS
-        )
-    sim = Simulator(SimConfig(
-        chip=exynos5422(screen_on=True),
-        max_seconds=max_seconds,
-        seed=seed,
-        fastpath=fastpath,
-    ))
-    return app, sim
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.core.taskstats import TaskStatsCollector
 
-    app, sim = _single_app_sim(args.app, args.seed)
+    app, sim = build_app_sim(args.app, seed=args.seed)
     profiler = TaskStatsCollector.attach(sim)
-    app.install(sim)
-    trace = sim.run()
+    trace = install_and_run(app, sim).trace
     print(profiler.render(top=args.top))
     print()
     print(f"run: {trace.duration_s:.1f} s, {trace.average_power_mw():.0f} mW average")
@@ -101,7 +67,7 @@ def _cmd_cprofile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
-    app, sim = _single_app_sim(args.app, args.seed, fastpath=not args.reference)
+    app, sim = build_app_sim(args.app, seed=args.seed, fastpath=not args.reference)
     app.install(sim)
 
     profiler = cProfile.Profile()
@@ -132,14 +98,13 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         render_summary,
     )
 
-    app, sim = _single_app_sim(args.app, args.seed, args.max_seconds)
+    app, sim = build_app_sim(args.app, seed=args.seed, max_seconds=args.max_seconds)
     observation = Observation.attach(sim)
-    app.install(sim)
     log.debug(
         "running %s for up to %.1f simulated seconds",
         args.app, sim.config.max_seconds,
     )
-    trace = sim.run()
+    trace = install_and_run(app, sim).trace
     snapshot = observation.snapshot()
 
     print(render_summary(snapshot))
@@ -179,27 +144,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    study = CharacterizationStudy(seed=args.seed)
-    c = study.characterize(args.app)
-    s = c.tlp
-    print(
-        render_table(
-            ["idle %", "little %", "big %", "TLP"],
-            [[s.idle_pct, s.little_only_pct, s.big_active_pct, s.tlp]],
-            title=f"{args.app}: TLP statistics",
-        )
-    )
-    print()
-    print(render_matrix(c.matrix, title=f"{args.app}: active-core distribution (%)"))
-    print()
-    e = c.efficiency
-    print(
-        render_table(
-            ["min", "<50%", "50-70%", "70-95%", ">95%", "full"],
-            [e.as_row()],
-            title=f"{args.app}: efficiency decomposition (%)",
-        )
-    )
+    print(CharacterizationStudy(seed=args.seed).characterize(args.app).render())
     return 0
 
 

@@ -11,8 +11,8 @@ analysis the paper reports:
   active periods (Figures 9 and 10);
 - :mod:`repro.core.efficiency` — the six-state scheduler/governor
   efficiency decomposition (Table V);
-- :mod:`repro.core.study` — a high-level API that runs an application
-  under a configuration and returns all of the above;
+- :mod:`repro.core.study` — a high-level API that builds and runs an
+  application under a configuration and returns all of the above;
 - :mod:`repro.core.reductions` — the registry of named in-worker
   reductions behind ``RunSpec.reductions`` (ship summaries, not
   traces);
@@ -39,7 +39,7 @@ from repro.core.power_breakdown import PowerBreakdown, power_breakdown
 from repro.core.summary import AppReport, app_report
 from repro.core.taskstats import TaskStats, TaskStatsCollector
 from repro.core.timeline import render_timeline
-from repro.core.study import AppRun, CharacterizationStudy, run_app
+from repro.core.study import AppRun, CharacterizationStudy, build_app_sim, run_app
 
 __all__ = [
     "AppReport",
@@ -56,6 +56,7 @@ __all__ = [
     "TaskStats",
     "TaskStatsCollector",
     "app_report",
+    "build_app_sim",
     "compare_energy",
     "compute_reductions",
     "decode_reduction",

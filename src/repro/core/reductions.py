@@ -15,11 +15,13 @@ Every reduction is a (compute, decode) pair:
   object (:class:`~repro.core.tlp.TLPStats`, a numpy matrix, …) from
   that payload.
 
-Compute functions call the exact :mod:`repro.core` analysis code the
-serial pipeline uses — same warmup trim, same float math — so a value
-computed in-worker is bit-identical to a parent-side recomputation from
-the dense trace (``tests/test_reductions.py`` asserts this for every
-registered reduction).
+The registry is the one owner of the paper's steady-state recipe: the
+runner's workers and :class:`~repro.core.study.CharacterizationStudy`
+both compute Tables III-V and Figures 9/10 through
+:data:`STUDY_REDUCTIONS`, over the trace trimmed by :data:`WARMUP_S`.
+A payload decodes to exactly the value a direct :mod:`repro.core` call
+on the trimmed trace gives (``tests/test_reductions.py`` asserts this
+for every registered reduction).
 """
 
 from __future__ import annotations
@@ -31,16 +33,21 @@ import numpy as np
 
 from repro.core.efficiency import EfficiencyBreakdown, efficiency_breakdown
 from repro.core.residency import frequency_residency
-from repro.core.study import CharacterizationStudy
 from repro.core.tlp import TLPStats, tlp_stats
 from repro.core.tlp_matrix import tlp_matrix
 from repro.platform.chip import ChipSpec
 from repro.platform.coretypes import CoreType
 from repro.sim.trace import Trace
 
-#: Steady-state reductions exclude the launch transient, exactly as
-#: :meth:`CharacterizationStudy.characterize` does.
-WARMUP_S = CharacterizationStudy.WARMUP_S
+#: Launch transient (cold start, while the governor and load averages
+#: converge) that every steady-state analysis trims from the trace.
+WARMUP_S = 1.0
+
+#: The reductions behind the paper's per-app analyses (Tables III-V,
+#: Figures 9/10).  Every study artifact declares this same set, so a
+#: shared :class:`~repro.runner.cache.ResultCache` keeps one simulation
+#: per app across them.
+STUDY_REDUCTIONS = ("tlp", "tlp_matrix", "residency", "efficiency", "power_summary")
 
 
 class ReductionContext:
@@ -58,18 +65,16 @@ class ReductionContext:
         trace: Trace,
         chip: ChipSpec,
         scalars: Optional[dict[str, Any]] = None,
-        warmup_s: float = WARMUP_S,
     ):
         self.trace = trace
         self.chip = chip
         self.scalars = scalars or {}
-        self.warmup_s = warmup_s
         self._steady: Optional[Trace] = None
 
     @property
     def steady(self) -> Trace:
         if self._steady is None:
-            self._steady = self.trace.trimmed(self.warmup_s)
+            self._steady = self.trace.trimmed(WARMUP_S)
         return self._steady
 
 

@@ -1,29 +1,31 @@
-"""High-level API: run an application and characterize it.
+"""High-level API: build, run and characterize an application.
 
-:func:`run_app` runs one of the Table II applications under a chosen
-platform/scheduler configuration and returns an :class:`AppRun` with the
-trace and the app's performance metric.  :class:`CharacterizationStudy`
-wraps it with the full paper analysis (TLP, matrices, residency,
-efficiency) and caches runs so that several analyses of the same app
-share one simulation.
+:func:`build_app_sim` is the one place an app's simulation is built: it
+applies the app-family horizon and returns the app uninstalled, so
+observers can attach to the simulator first.  :func:`run_app` runs one
+Table II application under a chosen platform/scheduler configuration
+and returns an :class:`AppRun` with the trace and the app's performance
+metric.  :class:`CharacterizationStudy` adds the paper's steady-state
+analyses (TLP, matrices, residency, efficiency), computed by the
+registered reductions, and caches runs so that several analyses of the
+same app share one simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.platform.chip import ChipSpec, CoreConfig, exynos5422
-from repro.platform.coretypes import CoreType
 from repro.sched.params import SchedulerConfig, baseline_config
 from repro.sim.engine import SimConfig, Simulator
 from repro.sim.trace import Trace
-from repro.core.efficiency import EfficiencyBreakdown, efficiency_breakdown
-from repro.core.residency import frequency_residency
-from repro.core.tlp import TLPStats, tlp_stats
-from repro.core.tlp_matrix import tlp_matrix
+from repro.core.efficiency import CATEGORY_NAMES, EfficiencyBreakdown
+from repro.core.reductions import STUDY_REDUCTIONS, compute_reductions, decode_reduction
+from repro.core.report import render_matrix, render_table
+from repro.core.tlp import TLPStats
 from repro.workloads.base import App, Metric
 from repro.workloads.mobile import make_app
 
@@ -32,6 +34,46 @@ FPS_APP_SECONDS = 12.0
 
 #: Safety cap for latency-oriented apps (they stop at end of script).
 LATENCY_APP_CAP_SECONDS = 60.0
+
+
+def build_app_sim(
+    app: Union[str, App],
+    chip: Optional[ChipSpec] = None,
+    core_config: Optional[CoreConfig] = None,
+    scheduler: Optional[SchedulerConfig] = None,
+    scheduler_factory=None,
+    governors=None,
+    seed: int = 0,
+    max_seconds: Optional[float] = None,
+    fastpath: bool = True,
+) -> tuple[App, Simulator]:
+    """Build one app's simulation; the app comes back uninstalled.
+
+    ``app`` is a :func:`~repro.workloads.mobile.make_app` name or an
+    :class:`App`.  ``max_seconds`` defaults to the app-family
+    convention: FPS apps run a fixed 12 s steady-state window; latency
+    apps run to the end of their user-action script (capped at 60 s).
+    The default chip has the screen on, matching the paper's
+    interactive-app power measurements.  Attach observers to the
+    simulator, then ``app.install(sim)`` (or :func:`install_and_run`).
+    """
+    if isinstance(app, str):
+        app = make_app(app)
+    if max_seconds is None:
+        max_seconds = (
+            FPS_APP_SECONDS if app.metric is Metric.FPS else LATENCY_APP_CAP_SECONDS
+        )
+    sim = Simulator(SimConfig(
+        chip=chip or exynos5422(screen_on=True),
+        core_config=core_config,
+        scheduler=scheduler or baseline_config(),
+        governors=governors,
+        scheduler_factory=scheduler_factory,
+        max_seconds=max_seconds,
+        seed=seed,
+        fastpath=fastpath,
+    ))
+    return app, sim
 
 
 @dataclass
@@ -66,6 +108,16 @@ class AppRun:
         return self.trace.energy_mj()
 
 
+def install_and_run(app: App, sim: Simulator) -> AppRun:
+    """Install ``app`` on ``sim`` (from :func:`build_app_sim`) and run it.
+
+    The run is labelled with the core configuration it simulated.
+    """
+    app.install(sim)
+    trace = sim.run()
+    return AppRun(app=app, trace=trace, config_label=sim.config.core_config.label())
+
+
 def run_app(
     name: str,
     chip: Optional[ChipSpec] = None,
@@ -76,34 +128,19 @@ def run_app(
     app: Optional[App] = None,
     scheduler_factory=None,
 ) -> AppRun:
-    """Run one Table II application and return the completed run.
+    """Run one Table II application (or ``app``) and return the run.
 
-    ``max_seconds`` defaults to the app-family convention: FPS apps run
-    a fixed 12 s steady-state window; latency apps run to the end of
-    their user-action script (capped at 60 s).  The default chip has
-    the screen on, matching the paper's interactive-app power
-    measurements.
+    Defaults are :func:`build_app_sim`'s.
     """
-    chip = chip or exynos5422(screen_on=True)
-    scheduler = scheduler or baseline_config()
-    app = app or make_app(name)
-    if max_seconds is None:
-        max_seconds = (
-            FPS_APP_SECONDS if app.metric is Metric.FPS else LATENCY_APP_CAP_SECONDS
-        )
-    config = SimConfig(
+    return install_and_run(*build_app_sim(
+        app if app is not None else name,
         chip=chip,
         core_config=core_config,
         scheduler=scheduler,
         scheduler_factory=scheduler_factory,
-        max_seconds=max_seconds,
         seed=seed,
-    )
-    sim = Simulator(config)
-    app.install(sim)
-    trace = sim.run()
-    label = config.core_config.label() if config.core_config else "default"
-    return AppRun(app=app, trace=trace, config_label=label)
+        max_seconds=max_seconds,
+    ))
 
 
 @dataclass
@@ -116,6 +153,43 @@ class AppCharacterization:
     little_residency: dict[int, float]
     big_residency: dict[int, float]
     efficiency: EfficiencyBreakdown
+
+    @classmethod
+    def from_run(cls, run: AppRun, chip: ChipSpec, **extra):
+        """Analyze ``run`` through the registered study reductions.
+
+        The reductions trim the launch transient
+        (:data:`~repro.core.reductions.WARMUP_S`) exactly as the
+        runner's workers do, so both report the same values.  ``extra``
+        fills a subclass's further fields (see ``AppReport``).
+        """
+        payloads = compute_reductions(STUDY_REDUCTIONS, run.trace, chip)
+        residency = decode_reduction("residency", payloads["residency"])
+        return cls(
+            run=run,
+            tlp=decode_reduction("tlp", payloads["tlp"]),
+            matrix=decode_reduction("tlp_matrix", payloads["tlp_matrix"]),
+            little_residency=residency["little"],
+            big_residency=residency["big"],
+            efficiency=decode_reduction("efficiency", payloads["efficiency"]),
+            **extra,
+        )
+
+    def render(self) -> str:
+        """The TLP, active-core and efficiency tables (steady state)."""
+        s = self.tlp
+        return "\n\n".join([
+            render_table(
+                ["idle %", "little %", "big %", "TLP"],
+                [[s.idle_pct, s.little_only_pct, s.big_active_pct, s.tlp]],
+                title="TLP statistics (steady state)",
+            ),
+            render_matrix(self.matrix, title="Active-core distribution (%)"),
+            render_table(
+                CATEGORY_NAMES, [self.efficiency.as_row()],
+                title="Efficiency decomposition (%)",
+            ),
+        ])
 
 
 class CharacterizationStudy:
@@ -132,33 +206,11 @@ class CharacterizationStudy:
         self.seed = seed
         self._cache: dict[str, AppCharacterization] = {}
 
-    #: Launch transient excluded from steady-state analyses.
-    WARMUP_S = 1.0
-
     def characterize(self, app_name: str) -> AppCharacterization:
-        """Run ``app_name`` under the default full configuration and analyze.
-
-        The first second of the trace (cold-start transient while the
-        governor and load averages converge) is excluded from the
-        steady-state analyses, matching the paper's in-use methodology.
-        """
-        if app_name in self._cache:
-            return self._cache[app_name]
-        run = run_app(
-            app_name, chip=self.chip, scheduler=self.scheduler, seed=self.seed
-        )
-        steady = run.trace.trimmed(self.WARMUP_S)
-        result = AppCharacterization(
-            run=run,
-            tlp=tlp_stats(steady),
-            matrix=tlp_matrix(steady),
-            little_residency=frequency_residency(steady, CoreType.LITTLE),
-            big_residency=frequency_residency(steady, CoreType.BIG),
-            efficiency=efficiency_breakdown(
-                steady,
-                little_min_khz=self.chip.little_cluster.opp_table.min_khz,
-                big_max_khz=self.chip.big_cluster.opp_table.max_khz,
-            ),
-        )
-        self._cache[app_name] = result
-        return result
+        """Run ``app_name`` under the default full configuration and analyze."""
+        if app_name not in self._cache:
+            run = run_app(
+                app_name, chip=self.chip, scheduler=self.scheduler, seed=self.seed
+            )
+            self._cache[app_name] = AppCharacterization.from_run(run, self.chip)
+        return self._cache[app_name]

@@ -15,34 +15,19 @@ from repro.core.energy import EnergyMetrics, energy_metrics
 from repro.core.idleness import IdlenessProfile, idleness_profile
 from repro.core.interactivity import LatencyDistribution, latency_distribution
 from repro.core.power_breakdown import PowerBreakdown, power_breakdown
-from repro.core.report import render_matrix, render_table
-from repro.core.study import (
-    FPS_APP_SECONDS,
-    LATENCY_APP_CAP_SECONDS,
-    AppRun,
-)
+from repro.core.reductions import WARMUP_S
+from repro.core.study import AppCharacterization, build_app_sim, install_and_run
 from repro.core.taskstats import TaskStatsCollector
 from repro.core.timeline import render_timeline
-from repro.core.tlp import TLPStats, tlp_stats
-from repro.core.tlp_matrix import tlp_matrix
-from repro.core.efficiency import CATEGORY_NAMES, efficiency_breakdown
-from repro.platform.chip import ChipSpec, exynos5422
-from repro.sched.params import SchedulerConfig, baseline_config
-from repro.sim.engine import SimConfig, Simulator
+from repro.platform.chip import ChipSpec
+from repro.sched.params import SchedulerConfig
 from repro.workloads.base import Metric
-from repro.workloads.mobile import make_app
-
-WARMUP_S = 1.0
 
 
 @dataclass
-class AppReport:
+class AppReport(AppCharacterization):
     """Everything measured about one run."""
 
-    run: AppRun
-    tlp: TLPStats
-    matrix: object
-    efficiency: object
     energy: EnergyMetrics
     idleness: IdlenessProfile
     breakdown: PowerBreakdown
@@ -61,19 +46,7 @@ class AppReport:
             f"{self.energy.total_energy_mj / 1000:.1f} J total"
         )
         parts.append("")
-        s = self.tlp
-        parts.append(render_table(
-            ["idle %", "little %", "big %", "TLP"],
-            [[s.idle_pct, s.little_only_pct, s.big_active_pct, s.tlp]],
-            title="TLP statistics (steady state)",
-        ))
-        parts.append("")
-        parts.append(render_matrix(self.matrix, title="Active-core distribution (%)"))
-        parts.append("")
-        parts.append(render_table(
-            CATEGORY_NAMES, [self.efficiency.as_row()],
-            title="Efficiency decomposition (%)",
-        ))
+        parts.append(super().render())
         parts.append("")
         parts.append(self.breakdown.render())
         parts.append("")
@@ -95,29 +68,14 @@ def app_report(
     seed: int = 0,
 ) -> AppReport:
     """Run ``app_name`` once and compute the full report."""
-    chip = chip or exynos5422(screen_on=True)
-    scheduler = scheduler or baseline_config()
-    app = make_app(app_name)
-    max_seconds = (
-        FPS_APP_SECONDS if app.metric is Metric.FPS else LATENCY_APP_CAP_SECONDS
-    )
-    sim = Simulator(SimConfig(
-        chip=chip, scheduler=scheduler, max_seconds=max_seconds, seed=seed
-    ))
+    app, sim = build_app_sim(app_name, chip=chip, scheduler=scheduler, seed=seed)
     profiler = TaskStatsCollector.attach(sim)
-    app.install(sim)
-    trace = sim.run()
-    run = AppRun(app=app, trace=trace, config_label="L4+B4")
-    steady = trace.trimmed(WARMUP_S)
-    return AppReport(
-        run=run,
-        tlp=tlp_stats(steady),
-        matrix=tlp_matrix(steady),
-        efficiency=efficiency_breakdown(
-            steady,
-            little_min_khz=chip.little_cluster.opp_table.min_khz,
-            big_max_khz=chip.big_cluster.opp_table.max_khz,
-        ),
+    run = install_and_run(app, sim)
+    chip = sim.config.chip
+    steady = run.trace.trimmed(WARMUP_S)
+    return AppReport.from_run(
+        run,
+        chip,
         energy=energy_metrics(run),
         idleness=idleness_profile(
             steady, deep_entry_ms=chip.power_model.params.deep_idle_entry_ms

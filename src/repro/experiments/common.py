@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.reductions import STUDY_REDUCTIONS
 from repro.platform.chip import ChipSpec, CoreConfig, exynos5422
 from repro.platform.coretypes import CoreType
 from repro.sched.governor import FixedFrequencyGovernor, Governor
@@ -65,16 +66,17 @@ def run_spec_kernel(
 #: Chip id of the default characterization platform (screen on).
 STUDY_CHIP_ID = "exynos5422-screen"
 
-#: The reduction set shared by every runner-backed study artifact
-#: (Tables III/IV/V, Figures 9/10).  Declaring the same set — and
-#: ``trace_policy="none"`` — keeps the spec key identical across those
-#: artifacts, so a shared :class:`~repro.runner.cache.ResultCache`
-#: collapses them to **one** simulation per app.
-STUDY_REDUCTIONS = ("tlp", "tlp_matrix", "residency", "efficiency", "power_summary")
-
 
 def study_specs(apps: list[str], seed: int = 0) -> list["RunSpec"]:
-    """Default-configuration specs carrying the shared study reductions."""
+    """Default-configuration specs carrying the shared study reductions.
+
+    Tables III/IV/V and Figures 9/10 all run these specs, which declare
+    :data:`~repro.core.reductions.STUDY_REDUCTIONS` and
+    ``trace_policy="none"``: the spec key is identical across those
+    artifacts, so a runner with a shared
+    :class:`~repro.runner.cache.ResultCache` runs **one** simulation
+    per app for all of them.
+    """
     from repro.runner.spec import RunSpec
 
     return [

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.report import render_table
-from repro.core.study import FPS_APP_SECONDS, LATENCY_APP_CAP_SECONDS
+from repro.core.study import build_app_sim, install_and_run
 from repro.platform.chip import exynos5422
 from repro.platform.coretypes import CoreType
 from repro.sched.governor import (
@@ -33,9 +33,7 @@ from repro.sched.governor import (
     SchedutilGovernor,
 )
 from repro.sched.params import baseline_config
-from repro.sim.engine import SimConfig, Simulator
 from repro.workloads.base import Metric
-from repro.workloads.mobile import make_app
 
 GOVERNOR_FACTORIES: dict[str, Callable[[], Governor]] = {
     "performance": PerformanceGovernor,
@@ -88,24 +86,13 @@ def run_governor_comparison(
         result.performance[gov_name] = {}
         for app in apps:
             governors = {CoreType.LITTLE: factory(), CoreType.BIG: factory()}
-            instance = make_app(app)
-            max_seconds = (
-                FPS_APP_SECONDS
-                if instance.metric is Metric.FPS
-                else LATENCY_APP_CAP_SECONDS
+            run = install_and_run(
+                *build_app_sim(app, chip=chip, governors=governors, seed=seed)
             )
-            sim = Simulator(SimConfig(
-                chip=chip,
-                governors=governors,
-                max_seconds=max_seconds,
-                seed=seed,
-            ))
-            instance.install(sim)
-            trace = sim.run()
-            result.metric[app] = instance.metric
-            result.power_mw[gov_name][app] = float(trace.average_power_mw())
-            if instance.metric is Metric.LATENCY:
-                result.performance[gov_name][app] = instance.latency_s()
+            result.metric[app] = run.metric
+            result.power_mw[gov_name][app] = run.avg_power_mw()
+            if run.metric is Metric.LATENCY:
+                result.performance[gov_name][app] = run.latency_s()
             else:
-                result.performance[gov_name][app] = instance.avg_fps()
+                result.performance[gov_name][app] = run.avg_fps()
     return result

@@ -16,14 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.reductions import WARMUP_S
 from repro.core.report import render_table
-from repro.core.study import FPS_APP_SECONDS, LATENCY_APP_CAP_SECONDS
+from repro.core.study import build_app_sim, install_and_run
 from repro.core.tlp import TLPStats, tlp_stats
-from repro.platform.chip import exynos5422
-from repro.sched.params import baseline_config
-from repro.sim.engine import SimConfig, Simulator
 from repro.workloads.base import App, Metric
-from repro.workloads.mobile import make_app
 from repro.workloads.scenarios import SCENARIOS, Scenario
 
 
@@ -70,19 +67,6 @@ class MultitaskingResult:
         )
 
 
-def _run(install, metric_hint: Metric, seed: int):
-    chip = exynos5422(screen_on=True)
-    max_seconds = (
-        FPS_APP_SECONDS if metric_hint is Metric.FPS else LATENCY_APP_CAP_SECONDS
-    )
-    sim = Simulator(SimConfig(
-        chip=chip, scheduler=baseline_config(), max_seconds=max_seconds, seed=seed
-    ))
-    foreground = install(sim)
-    trace = sim.run()
-    return foreground, trace
-
-
 def _perf(app: App) -> float:
     return app.latency_s() if app.metric is Metric.LATENCY else app.avg_fps()
 
@@ -92,23 +76,20 @@ def run_multitasking(
 ) -> MultitaskingResult:
     result = MultitaskingResult()
     for scenario in scenarios or list(SCENARIOS.values()):
-        metric = make_app(scenario.foreground).metric
-
-        def solo_install(sim: Simulator) -> App:
-            app = make_app(scenario.foreground)
-            app.install(sim)
-            return app
-
-        solo_app, solo_trace = _run(solo_install, metric, seed)
-        multi_app, multi_trace = _run(scenario.install, metric, seed)
+        # Both runs get the foreground app's horizon; the multitasking
+        # run installs the whole scenario in place of the solo app.
+        solo = install_and_run(*build_app_sim(scenario.foreground, seed=seed))
+        _, sim = build_app_sim(scenario.foreground, seed=seed)
+        multi_app = scenario.install(sim)
+        multi_trace = sim.run()
 
         result.outcomes[scenario.name] = ScenarioOutcome(
-            solo_tlp=tlp_stats(solo_trace.trimmed(1.0)),
-            multi_tlp=tlp_stats(multi_trace.trimmed(1.0)),
-            solo_power_mw=float(solo_trace.average_power_mw()),
+            solo_tlp=tlp_stats(solo.trace.trimmed(WARMUP_S)),
+            multi_tlp=tlp_stats(multi_trace.trimmed(WARMUP_S)),
+            solo_power_mw=solo.avg_power_mw(),
             multi_power_mw=float(multi_trace.average_power_mw()),
-            solo_perf=_perf(solo_app),
+            solo_perf=_perf(solo.app),
             multi_perf=_perf(multi_app),
-            metric=metric,
+            metric=solo.metric,
         )
     return result

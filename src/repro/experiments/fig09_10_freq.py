@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.report import render_table
-from repro.core.study import CharacterizationStudy
 from repro.experiments.common import STUDY_CHIP_ID, study_specs
 from repro.platform.coretypes import CoreType
 from repro.runner import BatchRunner
@@ -66,40 +65,28 @@ class FreqResidencyResult:
 
 
 def run_frequency_residency(
-    study: CharacterizationStudy | None = None,
     apps: list[str] | None = None,
     seed: int = 0,
     runner: BatchRunner | None = None,
 ) -> FreqResidencyResult:
     """Run Figures 9 and 10 over the selected apps (default: all 12).
 
-    With a ``runner``, residency is tallied in-worker via the
-    ``"residency"`` reduction (bit-identical to the study path) and the
-    specs share their cache entries with Tables III/IV/V.
+    Residency is tallied in-worker via the ``"residency"`` reduction.
+    The default ``runner`` is serial and uncached; the specs share
+    their cache entries with Tables III/IV/V.
     """
     apps = apps or MOBILE_APP_NAMES
+    chip = resolve_chip(STUDY_CHIP_ID)
     result = FreqResidencyResult()
     result.residency = {CoreType.LITTLE: {}, CoreType.BIG: {}}
-    if runner is not None:
-        chip = resolve_chip(STUDY_CHIP_ID)
-        result.opp_freqs = {
-            CoreType.LITTLE: chip.little_cluster.opp_table.frequencies_khz,
-            CoreType.BIG: chip.big_cluster.opp_table.frequencies_khz,
-        }
-        report = runner.run(study_specs(apps, seed=seed))
-        report.raise_on_failure()
-        for app, run in zip(apps, report.results):
-            residency = run.reduction("residency")
-            result.residency[CoreType.LITTLE][app] = residency["little"]
-            result.residency[CoreType.BIG][app] = residency["big"]
-        return result
-    study = study or CharacterizationStudy(seed=seed)
     result.opp_freqs = {
-        CoreType.LITTLE: study.chip.little_cluster.opp_table.frequencies_khz,
-        CoreType.BIG: study.chip.big_cluster.opp_table.frequencies_khz,
+        CoreType.LITTLE: chip.little_cluster.opp_table.frequencies_khz,
+        CoreType.BIG: chip.big_cluster.opp_table.frequencies_khz,
     }
-    for app in apps:
-        c = study.characterize(app)
-        result.residency[CoreType.LITTLE][app] = c.little_residency
-        result.residency[CoreType.BIG][app] = c.big_residency
+    report = (runner or BatchRunner(workers=1)).run(study_specs(apps, seed=seed))
+    report.raise_on_failure()
+    for app, run in zip(apps, report.results):
+        residency = run.reduction("residency")
+        result.residency[CoreType.LITTLE][app] = residency["little"]
+        result.residency[CoreType.BIG][app] = residency["big"]
     return result

@@ -80,11 +80,9 @@ def run_tlp_multiseed(
 
     Each (app, seed) simulation is an independent :class:`RunSpec`
     dispatched through :class:`BatchRunner`; the TLP statistics are
-    computed **inside the workers** via the ``"tlp"`` reduction (same
-    chip, same warmup trim as
-    :meth:`~repro.core.study.CharacterizationStudy.characterize`), so
-    the numbers match the serial study bit for bit while no trace ever
-    crosses the pool.
+    computed **inside the workers** via the ``"tlp"`` reduction (the
+    one :meth:`~repro.core.study.CharacterizationStudy.characterize`
+    also uses), so no trace ever crosses the pool.
     """
     seeds = seeds if seeds is not None else [0, 1, 2]
     apps = apps or MOBILE_APP_NAMES

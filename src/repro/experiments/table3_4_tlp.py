@@ -1,7 +1,8 @@
 """Tables III and IV: TLP statistics and (big, little) activity matrices.
 
 Both tables come from the same default-configuration runs of the 12
-applications, so they share one :class:`CharacterizationStudy`.
+applications (:func:`~repro.experiments.common.study_specs`), so they
+share one runner's results.
 
 Expected shape (paper Section V): TLP below 3 for every app except
 BBench (~4); big-core usage near zero for Angry Bird, Video Player,
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.report import render_matrix, render_table
-from repro.core.study import CharacterizationStudy
 from repro.core.tlp import TLPStats
 from repro.experiments.common import study_specs
 from repro.runner import BatchRunner
@@ -52,32 +52,24 @@ class TLPTableResult:
 
 
 def run_tlp_tables(
-    study: CharacterizationStudy | None = None,
     apps: list[str] | None = None,
     seed: int = 0,
     runner: BatchRunner | None = None,
 ) -> TLPTableResult:
     """Run Tables III and IV over the selected apps (default: all 12).
 
-    With a ``runner``, the apps execute as a batch of reduction-carrying
-    specs (:func:`~repro.experiments.common.study_specs`): the TLP stats
-    and matrices are computed *inside the workers* and only their
-    payloads return — no traces cross the pool.  The values are
-    bit-identical to the serial ``study`` path, and a shared cache
-    dedups these runs with Figures 9/10 and Table V.
+    The apps execute as a batch of reduction-carrying specs
+    (:func:`~repro.experiments.common.study_specs`): the TLP stats and
+    matrices are computed *inside the workers* and only their payloads
+    return — no traces cross the pool.  The default ``runner`` is
+    serial and uncached; a runner with a shared cache dedups these runs
+    with Figures 9/10 and Table V.
     """
     apps = apps or MOBILE_APP_NAMES
+    report = (runner or BatchRunner(workers=1)).run(study_specs(apps, seed=seed))
+    report.raise_on_failure()
     result = TLPTableResult()
-    if runner is not None:
-        report = runner.run(study_specs(apps, seed=seed))
-        report.raise_on_failure()
-        for app, run in zip(apps, report.results):
-            result.stats[app] = run.reduction("tlp")
-            result.matrices[app] = run.reduction("tlp_matrix")
-        return result
-    study = study or CharacterizationStudy(seed=seed)
-    for app in apps:
-        c = study.characterize(app)
-        result.stats[app] = c.tlp
-        result.matrices[app] = c.matrix
+    for app, run in zip(apps, report.results):
+        result.stats[app] = run.reduction("tlp")
+        result.matrices[app] = run.reduction("tlp_matrix")
     return result

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from repro.core.efficiency import CATEGORY_NAMES, EfficiencyBreakdown
 from repro.core.report import render_table
-from repro.core.study import CharacterizationStudy
 from repro.experiments.common import study_specs
 from repro.runner import BatchRunner
 from repro.workloads.mobile import MOBILE_APP_NAMES
@@ -40,26 +39,20 @@ class EfficiencyTableResult:
 
 
 def run_efficiency_table(
-    study: CharacterizationStudy | None = None,
     apps: list[str] | None = None,
     seed: int = 0,
     runner: BatchRunner | None = None,
 ) -> EfficiencyTableResult:
     """Run Table V over the selected apps (default: all 12).
 
-    With a ``runner``, the breakdown is computed in-worker via the
-    ``"efficiency"`` reduction (bit-identical to the study path) and the
+    The breakdown is computed in-worker via the ``"efficiency"``
+    reduction.  The default ``runner`` is serial and uncached; the
     specs share their cache entries with Tables III/IV and Figures 9/10.
     """
     apps = apps or MOBILE_APP_NAMES
+    report = (runner or BatchRunner(workers=1)).run(study_specs(apps, seed=seed))
+    report.raise_on_failure()
     result = EfficiencyTableResult()
-    if runner is not None:
-        report = runner.run(study_specs(apps, seed=seed))
-        report.raise_on_failure()
-        for app, run in zip(apps, report.results):
-            result.breakdowns[app] = run.reduction("efficiency")
-        return result
-    study = study or CharacterizationStudy(seed=seed)
-    for app in apps:
-        result.breakdowns[app] = study.characterize(app).efficiency
+    for app, run in zip(apps, report.results):
+        result.breakdowns[app] = run.reduction("efficiency")
     return result

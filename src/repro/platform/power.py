@@ -210,9 +210,12 @@ class DeferredPowerPipeline:
     staging; the ticks of one row share their frequencies.
     """
 
-    #: Auto-flush threshold: bounds the Python-list staging memory on
-    #: long runs (flushing mid-run is safe — staged row sets are disjoint).
-    _FLUSH_THRESHOLD = 65536
+    #: Auto-flush threshold: bounds the staging memory, about 850 B of
+    #: Python lists per staged row (3.5 MB at this threshold; a 60 s
+    #: reference-ticking run would otherwise hold about 30 MB until its
+    #: end-of-run flush).  Flushing mid-run is bit-exact: staged row
+    #: sets are disjoint.
+    _FLUSH_THRESHOLD = 4096
 
     def __init__(self, power_model: PowerModel, trace, core_types, enabled, opp_tables):
         self._pm = power_model

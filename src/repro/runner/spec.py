@@ -16,7 +16,8 @@ Two small registries keep specs declarative:
   :func:`repro.experiments.serialize.to_jsonable`;
 - the **kind registry** maps a spec's ``kind`` to the function that
   turns the spec into a :class:`RunResult`.  The built-in ``"app"`` kind
-  reproduces :func:`repro.core.study.run_app` exactly; any other kind is
+  builds its simulation with :func:`repro.core.study.build_app_sim`,
+  as :func:`repro.core.study.run_app` does; any other kind is
   resolved as a ``"package.module:callable"`` dotted path, so worker
   processes can execute custom kinds regardless of how they were
   spawned.
@@ -33,6 +34,7 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Optional, Union
 
+from repro.core.study import build_app_sim
 from repro.platform.chip import ChipSpec, CoreConfig, exynos5422
 from repro.sched.params import (
     GovernorParams,
@@ -40,11 +42,10 @@ from repro.sched.params import (
     SchedulerConfig,
     baseline_config,
 )
-from repro.sim.engine import SimConfig, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.trace import Trace
 from repro.sim.traceio import LazyTrace
 from repro.workloads.base import Metric
-from repro.workloads.mobile import make_app
 
 #: Valid ``RunSpec.trace_policy`` values — what happens to the dense
 #: trace once the worker has finished reductions:
@@ -426,27 +427,17 @@ class PreparedAppRun:
 
 def prepare_app_run(spec: RunSpec) -> PreparedAppRun:
     """Build, observe, and install one app-kind simulation (no run yet)."""
-    # Imported here to avoid a cycle (core.study is analysis-layer).
-    from repro.core.study import FPS_APP_SECONDS, LATENCY_APP_CAP_SECONDS
-
-    chip = resolve_chip(spec.chip)
-    app = make_app(spec.workload)
-    max_seconds = spec.max_seconds
-    if max_seconds is None:
-        max_seconds = (
-            FPS_APP_SECONDS if app.metric is Metric.FPS else LATENCY_APP_CAP_SECONDS
-        )
-    core_config = (
-        _parse_core_config(spec.core_config) if spec.core_config is not None else None
-    )
-    config = SimConfig(
-        chip=chip,
-        core_config=core_config,
+    app, sim = build_app_sim(
+        spec.workload,
+        chip=resolve_chip(spec.chip),
+        core_config=(
+            _parse_core_config(spec.core_config)
+            if spec.core_config is not None else None
+        ),
         scheduler=spec.scheduler,
-        max_seconds=max_seconds,
         seed=spec.seed,
+        max_seconds=spec.max_seconds,
     )
-    sim = Simulator(config)
     observation = None
     if spec.observe:
         from repro.obs import Observation

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.reductions import WARMUP_S
 from repro.core.study import run_app
 from repro.core.timeline import LEVELS, render_timeline, sparkline
 from repro.core.tlp import tlp_stats
@@ -103,11 +104,11 @@ class TestScenarios:
         solo_sim = Simulator(SimConfig(max_seconds=6.0, seed=2))
         from repro.workloads.mobile import make_app
         make_app("browser").install(solo_sim)
-        solo = tlp_stats(solo_sim.run().trimmed(1.0))
+        solo = tlp_stats(solo_sim.run().trimmed(WARMUP_S))
 
         multi_sim = Simulator(SimConfig(max_seconds=6.0, seed=2))
         SCENARIOS["browse-with-music"].install(multi_sim)
-        multi = tlp_stats(multi_sim.run().trimmed(1.0))
+        multi = tlp_stats(multi_sim.run().trimmed(WARMUP_S))
         assert multi.idle_pct < solo.idle_pct
 
 

@@ -5,8 +5,8 @@ import pytest
 from repro.core.power_breakdown import power_breakdown
 from repro.core.study import run_app
 from repro.core.summary import app_report
-from repro.platform.chip import exynos5422
-from repro.platform.coretypes import CoreType
+from repro.platform.chip import ChipSpec, exynos5422
+from repro.platform.coretypes import ClusterSpec, CoreType
 from repro.experiments.multiseed import (
     across_seeds,
     run_tlp_multiseed,
@@ -121,6 +121,22 @@ class TestAppReport:
         report = app_report("video-player", seed=1)
         assert report.latency_dist is None
         assert "fps average" in report.render(timeline_width=30)
+
+    def test_header_labels_the_simulated_config(self):
+        base = exynos5422(screen_on=True)
+        big2 = ClusterSpec(
+            spec=base.big_cluster.spec, num_cores=2,
+            opp_table=base.big_cluster.opp_table,
+        )
+        chip = ChipSpec(
+            "4L+2B", base.little_cluster, big2,
+            power_params=base.power_model.params,
+        )
+        report = app_report("video-player", chip=chip)
+        assert report.run.config_label == "L4+B2"
+        assert "=== video-player (fps app, L4+B2) ===" in report.render(
+            timeline_width=30
+        )
 
     def test_consistency_between_sections(self, report):
         assert report.energy.total_energy_mj == pytest.approx(

@@ -79,7 +79,20 @@ class TestCommands:
         assert main(["characterize", "video-player"]) == 0
         out = capsys.readouterr().out
         assert "TLP statistics" in out
-        assert "efficiency decomposition" in out
+        assert "Efficiency decomposition" in out
+
+    def test_report_runs(self, capsys):
+        assert main(["report", "video-player", "--seed", "7"]) == 0
+        report = capsys.readouterr().out
+        assert report.startswith("=== video-player (fps app, L4+B4) ===")
+        assert "Per-task execution profile" in report
+        # One renderer prints the TLP, matrix and efficiency block of both.
+        assert main(["characterize", "video-player", "--seed", "7"]) == 0
+        block = capsys.readouterr().out.strip()
+        assert block.startswith("TLP statistics")
+        assert "Active-core distribution" in block
+        assert "Efficiency decomposition" in block
+        assert block in report
 
     def test_profile_runs(self, capsys):
         assert main(["profile", "video-player", "--top", "3"]) == 0

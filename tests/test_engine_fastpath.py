@@ -22,6 +22,7 @@ from repro.platform.chip import CoreConfig, exynos5422
 from repro.platform.coretypes import CoreType
 from repro.platform.gpu import GpuSpec
 from repro.platform.perfmodel import COMPUTE_BOUND, WorkClass, cached_throughput
+from repro.platform.power import DeferredPowerPipeline
 from repro.platform.thermal import ThermalParams
 from repro.sched.cluster_switch import ClusterSwitchingScheduler
 from repro.sched.efficiency_sched import EfficiencyScheduler
@@ -491,6 +492,25 @@ class TestDeferredPower:
         assert fast.deferred_power_enabled
         assert not ref.deferred_power_enabled  # fastpath=False keeps per-tick
         assert_traces_equal(ref, fast)
+
+    def test_mid_run_flush_matches(self, monkeypatch):
+        """A run that stages more rows than the flush threshold flushes
+        mid-run and still matches the reference power bit for bit."""
+        staged = []
+        flush = DeferredPowerPipeline.flush
+
+        def counting_flush(pipeline):
+            staged.append(len(pipeline._indices))
+            flush(pipeline)
+
+        monkeypatch.setattr(DeferredPowerPipeline, "flush", counting_flush)
+        ref, fast = run_pair(
+            lambda: SimConfig(max_seconds=5.0, seed=2),
+            lambda sim: make_app("bbench").install(sim),
+        )
+        assert_traces_equal(ref, fast)
+        assert staged[0] == DeferredPowerPipeline._FLUSH_THRESHOLD
+        assert sum(staged) > DeferredPowerPipeline._FLUSH_THRESHOLD
 
     def test_thermal_keeps_per_tick_power(self):
         """Thermal feedback reads power each tick, so deferral is off

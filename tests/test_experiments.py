@@ -20,9 +20,9 @@ from repro.experiments.fig11_12_13_params import run_param_sweep
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.experiments.table3_4_tlp import run_tlp_tables
 from repro.experiments.table5_efficiency import run_efficiency_table
-from repro.core.study import CharacterizationStudy
 from repro.platform.chip import exynos5422
 from repro.platform.coretypes import CoreType
+from repro.runner import BatchRunner, ResultCache
 from repro.sched.params import variant_configs
 from repro.workloads.spec import spec_benchmark
 
@@ -140,26 +140,27 @@ class TestCoreConfigSweep:
 
 class TestStudyBackedExperiments:
     @pytest.fixture(scope="class")
-    def study(self):
-        return CharacterizationStudy(seed=7)
+    def runner(self, tmp_path_factory):
+        cache = ResultCache(root=str(tmp_path_factory.mktemp("study-cache")))
+        return BatchRunner(workers=1, cache=cache)
 
-    def test_tlp_tables(self, study):
-        result = run_tlp_tables(study=study, apps=["video-player", "encoder"])
+    def test_tlp_tables(self, runner):
+        result = run_tlp_tables(apps=["video-player", "encoder"], seed=7, runner=runner)
         assert result.stats["encoder"].big_active_pct > 30.0
         assert result.stats["video-player"].big_active_pct < 5.0
         assert result.matrices["encoder"].sum() == pytest.approx(100.0)
         assert "Table III" in result.render()
 
-    def test_frequency_residency(self, study):
-        result = run_frequency_residency(study=study, apps=["video-player"])
+    def test_frequency_residency(self, runner):
+        result = run_frequency_residency(apps=["video-player"], seed=7, runner=runner)
         little = result.residency[CoreType.LITTLE]["video-player"]
         # Video playback parks the little cluster at low frequencies.
         assert result.low_freq_share(CoreType.LITTLE, "video-player") > 50.0
         assert sum(little.values()) == pytest.approx(100.0)
         assert "Figure 9" in result.render()
 
-    def test_efficiency_table(self, study):
-        result = run_efficiency_table(study=study, apps=["video-player"])
+    def test_efficiency_table(self, runner):
+        result = run_efficiency_table(apps=["video-player"], seed=7, runner=runner)
         b = result.breakdowns["video-player"]
         # The dominant min/<50% finding of the paper.
         assert b.min_pct + b.under_50_pct > 50.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.idleness import idle_period_lengths_ms, idleness_profile
+from repro.core.reductions import WARMUP_S
 from repro.core.study import run_app
 from repro.platform.coretypes import CoreType
 from repro.sim.trace import Trace
@@ -46,7 +47,7 @@ class TestIdlePeriods:
 
     def test_wakeup_rate_from_real_run(self):
         run = run_app("video-player", seed=2, max_seconds=4.0)
-        profile = idleness_profile(run.trace.trimmed(1.0))
+        profile = idleness_profile(run.trace.trimmed(WARMUP_S))
         # The 30fps pipeline + audio + decoder wake at tens of Hz.
         assert 50.0 < profile.wakeups_per_second < 1000.0
         assert "wakeups/s" in profile.render()

@@ -9,18 +9,18 @@ from repro.core.efficiency import EfficiencyBreakdown, efficiency_breakdown
 from repro.core.reductions import (
     ReductionContext,
     WARMUP_S,
-    compute_reductions,
     decode_reduction,
     get_reduction,
     register_reduction,
     registered_reductions,
 )
 from repro.core.residency import frequency_residency
-from repro.core.study import CharacterizationStudy, run_app
+from repro.core.study import run_app
 from repro.core.tlp import TLPStats, tlp_stats
 from repro.core.tlp_matrix import tlp_matrix
-from repro.platform.chip import exynos5422
+from repro.platform.chip import CoreConfig, exynos5422
 from repro.platform.coretypes import CoreType
+from repro.sched.params import variant_configs
 from repro.runner.spec import RunSpec, execute_spec, finalize_result, resolve_kind
 
 
@@ -103,7 +103,7 @@ def test_every_registered_reduction_matches_parent_recompute(worker_and_referenc
     """Payload-decoded values equal a from-scratch parent recomputation."""
     result, trace = worker_and_reference
     chip = exynos5422(screen_on=True)
-    steady = trace.trimmed(CharacterizationStudy.WARMUP_S)
+    steady = trace.trimmed(WARMUP_S)
 
     tlp = result.reduction("tlp")
     assert isinstance(tlp, TLPStats)
@@ -149,19 +149,36 @@ def test_payloads_survive_json_bit_exactly(worker_and_reference):
             assert original == roundtrip
 
 
-def test_compute_reductions_matches_study_characterize():
-    """The runner path reproduces CharacterizationStudy bit for bit."""
-    study = CharacterizationStudy(seed=5)
-    c = study.characterize("video-player")
-    payloads = compute_reductions(
-        ("tlp", "tlp_matrix", "residency", "efficiency"),
-        c.run.trace, study.chip,
+@pytest.mark.parametrize("app", ["video-player", "pdf-reader"])
+def test_run_app_matches_app_kind_off_defaults(app):
+    """``run_app`` and the runner's app kind simulate the same run.
+
+    Both build through one builder; a non-default core config,
+    scheduler variant and horizon must reach it the same way.
+    """
+    scheduler = next(v for v in variant_configs() if v.name == "hmp-aggressive")
+    run = run_app(
+        app, core_config=CoreConfig.parse("L2+B1"), scheduler=scheduler,
+        seed=3, max_seconds=2.5,
     )
-    assert decode_reduction("tlp", payloads["tlp"]) == c.tlp
-    np.testing.assert_array_equal(
-        decode_reduction("tlp_matrix", payloads["tlp_matrix"]), c.matrix
+    spec = RunSpec(
+        app, core_config="L2+B1", scheduler=scheduler, seed=3, max_seconds=2.5,
     )
-    residency = decode_reduction("residency", payloads["residency"])
-    assert residency["little"] == c.little_residency
-    assert residency["big"] == c.big_residency
-    assert decode_reduction("efficiency", payloads["efficiency"]) == c.efficiency
+    result = resolve_kind("app")(spec)
+    ours, theirs = run.trace, result.trace
+    assert run.config_label == "L2+B1"
+    assert len(ours) == 2500
+    np.testing.assert_array_equal(ours.busy, theirs.busy)
+    np.testing.assert_array_equal(ours.power_mw, theirs.power_mw)
+    np.testing.assert_array_equal(ours.wakeups, theirs.wakeups)
+    for ct in (CoreType.LITTLE, CoreType.BIG):
+        np.testing.assert_array_equal(ours.freq_khz(ct), theirs.freq_khz(ct))
+        np.testing.assert_array_equal(ours.cpu_power_mw(ct), theirs.cpu_power_mw(ct))
+    assert result.metric == run.metric.value
+    assert result.duration_s == float(ours.duration_s)
+    assert result.avg_power_mw == run.avg_power_mw()
+    assert result.energy_mj == float(run.energy_mj())
+    if run.metric.value == "latency":
+        assert result.latency_s == float(run.latency_s())
+    else:
+        assert (result.avg_fps, result.min_fps) == (run.avg_fps(), run.min_fps())
