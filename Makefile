@@ -1,6 +1,6 @@
 # Convenience targets for the biglittle-repro repository.
 
-.PHONY: install test bench check-cache-budget dist-smoke artifacts calibrate examples clean
+.PHONY: install test claims dist-smoke artifacts calibrate examples clean
 
 install:
 	pip install -e .
@@ -8,12 +8,9 @@ install:
 test:
 	PYTHONPATH=src python -m pytest tests/ -q
 
-bench:
-	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
-
-# Blocking CI gate: cached trace.rle entries stay in budget.
-check-cache-budget:
-	PYTHONPATH=src python scripts/check_cache_budget.py
+# The paper's findings as executable checks (about two minutes).
+claims:
+	PYTHONPATH=src python -m pytest -m claims
 
 # Distributed execution smoke: 2 localhost TCP workers, results must be
 # identical to the local process-pool backend, merged catalog exported.
@@ -37,5 +34,5 @@ examples:
 	python examples/battery_life.py
 
 clean:
-	rm -rf build dist *.egg-info .pytest_cache .benchmarks
+	rm -rf build dist *.egg-info .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

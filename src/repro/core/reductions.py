@@ -38,10 +38,7 @@ from repro.core.tlp_matrix import tlp_matrix
 from repro.platform.chip import ChipSpec
 from repro.platform.coretypes import CoreType
 from repro.sim.trace import Trace
-
-#: Launch transient (cold start, while the governor and load averages
-#: converge) that every steady-state analysis trims from the trace.
-WARMUP_S = 1.0
+from repro.units import WARMUP_S
 
 #: The reductions behind the paper's per-app analyses (Tables III-V,
 #: Figures 9/10).  Every study artifact declares this same set, so a

@@ -50,7 +50,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import repro
 from repro.obs.logsetup import get_logger
@@ -136,7 +136,6 @@ class Coordinator:
         heartbeat_s: float = 2.0,
         job_grace_s: float = 15.0,
         max_requeues: int = 2,
-        on_event: Optional[Callable[[str, dict], None]] = None,
     ):
         self.host = host
         self.port = port
@@ -146,7 +145,6 @@ class Coordinator:
         #: coordinator declares the worker wedged.
         self.job_grace_s = job_grace_s
         self.max_requeues = max_requeues
-        self.on_event = on_event
         self.counters: dict[str, int] = {}
         self._cv = threading.Condition()
         self._pending: deque[_DistJob] = deque()
@@ -265,13 +263,6 @@ class Coordinator:
         self.counters[name] = self.counters.get(name, 0) + value
         global_metrics().counter(name).inc(value)
 
-    def _emit(self, event: str, **extra: Any) -> None:
-        if self.on_event is not None:
-            try:
-                self.on_event(event, extra)
-            except Exception:  # pragma: no cover - observer must not kill us
-                log.exception("dist event callback failed for %r", event)
-
     def _fire(
         self,
         job: _DistJob,
@@ -317,9 +308,9 @@ class Coordinator:
                 job.worker_id = None
                 self._pending.append(job)
                 self._cv.notify_all()
-        self._emit(
-            "job_requeued" if requeue else "job_abandoned",
-            job_id=job.job_id, requeues=job.requeues, reason=reason,
+        log.warning(
+            "job %d %s after %d lost worker(s): %s", job.job_id,
+            "requeued" if requeue else "abandoned", job.requeues, reason,
         )
         if not requeue:
             self._complete(
@@ -375,7 +366,6 @@ class Coordinator:
                 self._cv.notify_all()
             send_frame(conn, {"type": "welcome", "heartbeat_s": self.heartbeat_s})
             self._count("dist.workers_connected", 1)
-            self._emit("worker_joined", worker=worker_id, host=hello.get("host"))
             log.info("worker %s joined from %s:%s", worker_id, *addr[:2])
             self._worker_loop(worker)
         except (ConnectionError, OSError, ProtocolError, _WorkerLost) as exc:
@@ -401,7 +391,7 @@ class Coordinator:
             del self._workers[worker.worker_id]
             self._cv.notify_all()
         self._count("dist.workers_disconnected", 1)
-        self._emit("worker_lost", worker=worker.worker_id)
+        log.info("worker %s dropped", worker.worker_id)
 
     def _worker_loop(self, worker: _WorkerState) -> None:
         while True:
@@ -488,8 +478,9 @@ class Coordinator:
             now = time.monotonic()
             if deadline is not None and now >= deadline:
                 self._count("dist.worker_timeouts", 1)
-                self._emit(
-                    "job_deadline", job_id=job.job_id, worker=worker.worker_id
+                log.warning(
+                    "job %d passed its deadline on worker %s",
+                    job.job_id, worker.worker_id,
                 )
                 self._complete(
                     job,

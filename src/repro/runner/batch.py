@@ -290,7 +290,7 @@ class BatchRunner:
                     else:
                         pending.append(_Job(index=i, spec=spec))
 
-                groups = self._group_pending(pending, sink, executor)
+                groups = self._group_pending(pending, sink)
                 if groups:
                     self._drive(groups, executor, results, records, sink)
 
@@ -329,16 +329,16 @@ class BatchRunner:
     # -- cohort grouping ----------------------------------------------------
 
     def _group_pending(
-        self, pending: Sequence[_Job], sink: EventSink, executor: Executor
+        self, pending: Sequence[_Job], sink: EventSink
     ) -> list[list[_Job]]:
         """Partition pending jobs into execution groups.
 
-        Singleton groups everywhere unless cohort mode is on and the
-        executor can take whole cohorts; then each fold family is one
-        group.  Grouping preserves submit order within each cohort, and
-        records/results stay keyed by the original spec index either way.
+        Singleton groups everywhere unless cohort mode is on; then each
+        fold family is one group.  Grouping preserves submit order within
+        each cohort, and records/results stay keyed by the original spec
+        index either way.
         """
-        if not (self.cohorts and executor.supports_cohorts and len(pending) > 1):
+        if not (self.cohorts and len(pending) > 1):
             return [[job] for job in pending]
         from repro.runner.cohort import group_indices
 

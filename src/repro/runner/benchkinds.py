@@ -1,6 +1,6 @@
 """Synthetic run kinds for the result-pipeline benchmarks.
 
-The ``bench/`` lake corpus, ``scripts/check_cache_budget.py``,
+The ``bench/`` lake corpus, ``tests/test_cache_budget.py``,
 ``tests/test_lake_summary.py`` and the transport-bytes test in
 ``tests/test_runner_transport.py`` need runs whose **simulation** is
 nearly free (so transport, storage, and analysis costs dominate) while

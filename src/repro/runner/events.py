@@ -25,12 +25,13 @@ class RunnerEvent:
 
     ``event`` is one of ``batch_start``, ``cache_hit``, ``job_done``,
     ``job_retry``, ``job_failed``, ``cohort_start``, ``cohort_fallback``,
-    ``batch_done``; distributed runs additionally emit
-    ``worker_joined``, ``worker_lost``, ``job_requeued``, and
-    ``job_deadline`` from the coordinator (see
-    :class:`repro.dist.Coordinator`).  ``t_s`` is seconds since the
-    batch started; per-job fields are ``None`` on batch-level events.
-    ``batch_start.extra`` names the executor backend that ran the batch.
+    ``batch_done``.  Distributed runs add no event kinds: the
+    coordinator logs worker joins and losses, requeues and deadlines
+    through its ``repro.dist.coordinator`` logger and counts them in
+    the ``dist.*`` metrics (see :class:`repro.dist.Coordinator`).
+    ``t_s`` is seconds since the batch started; per-job fields are
+    ``None`` on batch-level events.  ``batch_start.extra`` names the
+    executor backend that ran the batch.
     """
 
     event: str

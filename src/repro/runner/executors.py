@@ -116,6 +116,13 @@ def _alarmed(fn, timeout_s: Optional[float], label: str):
         signal.signal(signal.SIGALRM, previous)
 
 
+def group_label(specs: Sequence[RunSpec]) -> str:
+    """Log and timeout label of a work group: the spec, or its cohort."""
+    if len(specs) == 1:
+        return specs[0].label()
+    return f"cohort[{len(specs)}] {specs[0].label()}"
+
+
 def _execute_job(spec: RunSpec, timeout_s: Optional[float]) -> RunResult:
     """Execute one spec with an optional in-process alarm timeout."""
     return _alarmed(lambda: execute_spec(spec), timeout_s, spec.label())
@@ -134,8 +141,7 @@ def _execute_cohort_job(
     from repro.runner.cohort import execute_cohort
 
     budget = timeout_s * len(specs) if timeout_s else timeout_s
-    label = f"cohort[{len(specs)}] {specs[0].label()}"
-    return _alarmed(lambda: execute_cohort(specs), budget, label)
+    return _alarmed(lambda: execute_cohort(specs), budget, group_label(specs))
 
 
 @dataclass
@@ -156,8 +162,6 @@ class Completion:
 class Executor:
     """Base class of the runner's execution backends."""
 
-    #: Whether cohort (multi-spec) groups may be submitted whole.
-    supports_cohorts = True
     #: Whether results cross a process boundary on their way back (the
     #: runner then does transport accounting).
     transported = True

@@ -37,6 +37,11 @@ GOVERNOR_SAMPLE_MS: int = 20  # interactive governor default sampling rate
 # Display refresh for FPS-oriented applications.
 VSYNC_HZ: int = 60
 
+# Launch transient (cold start, while the governor and load averages
+# converge) that every steady-state metric trims: the FPS scalars and
+# the trace analyses behind Tables III-V and Figures 9/10.
+WARMUP_S: float = 1.0
+
 
 def khz_to_ghz(khz: int) -> float:
     """Convert a kilohertz frequency to gigahertz."""

@@ -28,7 +28,7 @@ from typing import Optional
 from repro.platform.perfmodel import WorkClass
 from repro.sim.engine import Simulator
 from repro.sim.task import Channel, Sleep, SleepUntil, Task, TaskContext, WaitSignal, Work
-from repro.units import VSYNC_HZ
+from repro.units import VSYNC_HZ, WARMUP_S
 
 
 class Metric(enum.Enum):
@@ -278,7 +278,7 @@ class App:
             raise ValueError(f"{self.name} is not a latency-oriented app")
         return sum(end - start for _, start, end in self.logs.actions)
 
-    def avg_fps(self, warmup_s: float = 1.0) -> float:
+    def avg_fps(self, warmup_s: float = WARMUP_S) -> float:
         """Average frames per second after a warmup period."""
         if self.metric is not Metric.FPS:
             raise ValueError(f"{self.name} is not an FPS-oriented app")
@@ -290,7 +290,7 @@ class App:
             return 0.0
         return (len(frames) - 1) / span
 
-    def min_fps(self, window_s: float = 1.0, warmup_s: float = 1.0) -> float:
+    def min_fps(self, window_s: float = 1.0, warmup_s: float = WARMUP_S) -> float:
         """Worst frames-per-second over sliding one-second windows."""
         if self.metric is not Metric.FPS:
             raise ValueError(f"{self.name} is not an FPS-oriented app")

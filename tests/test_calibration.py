@@ -5,19 +5,18 @@ These tests pin the *qualitative* orderings of the paper's Table III
 highest TLP) rather than exact percentages — game-phase randomness makes
 per-seed magnitudes fluctuate by several points, but the orderings must
 never flip.  Exact paper-vs-measured numbers live in EXPERIMENTS.md and
-the table3 benchmark.
+the Table III claim in ``tests/test_paper_claims.py``.  The seed-7
+``study`` is the session fixture from ``tests/conftest.py``.
 """
 
 import pytest
 
-from repro.core.study import CharacterizationStudy
 from repro.workloads.mobile import MOBILE_APP_NAMES
 from repro.workloads.targets import PAPER_TABLE3, deviation
 
 
 @pytest.fixture(scope="module")
-def stats():
-    study = CharacterizationStudy(seed=7)
+def stats(study):
     return {app: study.characterize(app).tlp for app in MOBILE_APP_NAMES}
 
 

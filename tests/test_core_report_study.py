@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.report import render_bar_chart, render_matrix, render_table
-from repro.core.study import CharacterizationStudy, run_app
+from repro.core.study import run_app
 from repro.workloads.base import Metric
 
 
@@ -76,10 +76,6 @@ class TestRunApp:
 
 
 class TestCharacterizationStudy:
-    @pytest.fixture(scope="class")
-    def study(self):
-        return CharacterizationStudy(seed=7)
-
     def test_characterization_complete(self, study):
         c = study.characterize("video-player")
         assert c.tlp.n_windows > 500

@@ -1,4 +1,4 @@
-"""Tests for experiment runners (small-scale runs; full scale in benchmarks/)."""
+"""Tests for experiment runners (small-scale; full scale in test_paper_claims.py)."""
 
 import pytest
 

@@ -1,19 +1,12 @@
 """Cross-module integration tests: whole-system behaviours from the paper."""
 
-import pytest
-
-from repro.core.study import CharacterizationStudy, run_app
+from repro.core.study import run_app
 from repro.platform.chip import CoreConfig, exynos5422
 from repro.platform.coretypes import CoreType
 from repro.sched.params import SchedulerConfig, baseline_config, variant_configs
 from repro.sim.engine import SimConfig, Simulator
 from repro.sim.task import Sleep, Task, Work
 from repro.platform.perfmodel import COMPUTE_BOUND
-
-
-@pytest.fixture(scope="module")
-def study():
-    return CharacterizationStudy(seed=7)
 
 
 class TestPaperHeadlines:

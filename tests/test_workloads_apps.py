@@ -42,7 +42,7 @@ class TestRegistry:
 
 
 class TestAppRuns:
-    """One smoke run per app family (full sweep lives in benchmarks)."""
+    """One smoke run per app family (full sweep lives in test_paper_claims.py)."""
 
     def test_latency_app_produces_latency(self):
         run = run_app("photo-editor", seed=0)
