@@ -19,19 +19,19 @@ dist-smoke:
 
 # Regenerate every paper table/figure into results/.
 artifacts:
-	python scripts/collect_results.py
+	PYTHONPATH=src python scripts/collect_results.py
 
 # Compare the 12 app models against the paper's Table III.
 calibrate:
-	python scripts/calibrate_table3.py
+	PYTHONPATH=src python scripts/calibrate_table3.py
 
 examples:
-	python examples/quickstart.py bbench
-	python examples/core_config_explorer.py video-player
-	python examples/scheduler_tuning.py
-	python examples/custom_app.py
-	python examples/trace_replay_profiling.py
-	python examples/battery_life.py
+	PYTHONPATH=src python examples/quickstart.py bbench
+	PYTHONPATH=src python examples/core_config_explorer.py video-player
+	PYTHONPATH=src python examples/scheduler_tuning.py
+	PYTHONPATH=src python examples/custom_app.py
+	PYTHONPATH=src python examples/trace_replay_profiling.py
+	PYTHONPATH=src python examples/battery_life.py
 
 clean:
 	rm -rf build dist *.egg-info .pytest_cache

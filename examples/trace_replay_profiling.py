@@ -22,7 +22,7 @@ from repro.core.taskstats import TaskStatsCollector
 from repro.core.tlp import tlp_stats
 from repro.platform.chip import exynos5422
 from repro.sim.engine import SimConfig, Simulator
-from repro.sim.traceio import load_trace, save_trace
+from repro.sim.traceio import load_trace, save_trace_rle
 from repro.workloads.replay import LoadTraceApp
 
 RECORDED_THREADS = {
@@ -52,9 +52,9 @@ def main() -> None:
     names = ", ".join(s.name.split("/")[-1] for s in hot) or "none"
     print(f"threads earning >30% of their CPU time on big cores: {names}\n")
 
-    with tempfile.NamedTemporaryFile(suffix=".npz", delete=False) as f:
+    with tempfile.NamedTemporaryFile(suffix=".rle", delete=False) as f:
         path = f.name
-    save_trace(trace, path)
+    save_trace_rle(trace, path)
     reloaded = load_trace(path)
     stats = tlp_stats(reloaded.trimmed(0.5))
     print(render_table(

@@ -340,7 +340,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 detail_rows,
                 title="Per-app breakdown (lake catalog)",
             ))
-        print(f"\nthis process: {cache.stats.summary()}")
     return 0
 
 
@@ -607,7 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect or garbage-collect the on-disk result cache",
     )
     p_cache.add_argument("--stats", action="store_true",
-                         help="also print this process's hit/miss counters")
+                         help="also print the per-app, per-version entry "
+                              "breakdown from the lake catalog")
     p_cache.add_argument("--prune", action="store_true",
                          help="drop entries written by other repro versions")
     p_cache.add_argument("--cache-dir", default=None,

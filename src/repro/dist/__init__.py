@@ -10,7 +10,7 @@ global dedup keyed by spec content hash + ``repro.__version__``.
 Quickstart (two shells)::
 
     # shell 1 — the sweep, coordinating on port 5555
-    biglittle sweep pdf-reader --target params \\
+    biglittle sweep params --apps pdf-reader \\
         --executor tcp://0.0.0.0:5555
 
     # shell 2..N — workers, local or on other hosts

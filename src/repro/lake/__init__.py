@@ -20,7 +20,8 @@ store:
 - :mod:`repro.lake.query` — a small composable query API
   (``where`` / ``group_by`` / ``agg``) over catalog dimensions; kernel
   aggregates fold the stored summaries, so a query reads the catalog
-  and opens trace files only for entries stored without a summary;
+  and never opens a trace file (an entry written before 1.3.0 without
+  a summary contributes its scalars only);
 - :mod:`repro.lake.regress` — regression diffing between two code
   versions' entries for the same logical specs.
 

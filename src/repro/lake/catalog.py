@@ -26,7 +26,9 @@ Design choices, deliberate and load-bearing:
   aggregates), which ``result.json`` carries — so queries read the
   catalog alone, and a rebuild never opens a trace file.
 - **Optional fields stay schema 1.**  ``trace_summary`` is absent from
-  traceless and older entries; readers go through ``.get``.
+  traceless entries and from entries written before 1.3.0 without one,
+  which contribute their scalars only; readers go through ``.get``.
+  An entry holds a trace if and only if it has a summary.
 
 Incremental maintenance happens inside
 :meth:`repro.runner.cache.ResultCache.store` / ``evict`` via
@@ -54,6 +56,9 @@ CATALOG_SCHEMA_VERSION = 1
 
 #: The catalog file name, directly under the cache root.
 CATALOG_FILE = "catalog.jsonl"
+
+#: The trace policy a spec manifest leaves out: ``RunSpec``'s default.
+DEFAULT_TRACE_POLICY = "rle"
 
 #: Scalar metric fields copied from ``result.json`` into the catalog.
 METRIC_FIELDS = (
@@ -110,8 +115,6 @@ class CatalogEntry:
     scheduler: str
     seed: int
     trace_policy: str
-    #: ``"rle"``, ``"npz"``, or ``None`` — which trace file the entry holds.
-    trace_format: Optional[str]
     reductions: tuple[str, ...] = ()
     observe: bool = False
     max_seconds: Optional[float] = None
@@ -120,7 +123,8 @@ class CatalogEntry:
     scheduler_params: dict[str, Any] = field(default_factory=dict)
     #: The stored trace's kernel aggregates
     #: (:func:`repro.lake.kernels.trace_summary`), or ``None`` for a
-    #: traceless entry or one written before summaries existed.
+    #: traceless entry or one written before summaries existed.  The
+    #: lake reads no trace file, only this.
     trace_summary: Optional[dict[str, Any]] = None
 
     def dim(self, name: str) -> Any:
@@ -139,7 +143,7 @@ class CatalogEntry:
             raise KeyError(
                 f"unknown catalog dimension {name!r}; attributes: workload, "
                 f"kind, chip, core_config, scheduler, seed, version, "
-                f"trace_policy, trace_format, observe, or hmp.*/gov.*/metrics.*"
+                f"trace_policy, observe, or hmp.*/gov.*/metrics.*"
             )
         return getattr(self, name)
 
@@ -156,7 +160,6 @@ class CatalogEntry:
             "observe": self.observe,
             "reductions": list(self.reductions),
             "trace_policy": self.trace_policy,
-            "trace_format": self.trace_format,
             "nbytes": self.nbytes,
             "metrics": dict(self.metrics),
         }
@@ -177,8 +180,7 @@ class CatalogEntry:
             core_config=entry.get("core_config"),
             scheduler=str(entry.get("scheduler", "?")),
             seed=int(entry.get("seed", 0)),
-            trace_policy=str(entry.get("trace_policy", "full")),
-            trace_format=entry.get("trace_format"),
+            trace_policy=str(entry.get("trace_policy", DEFAULT_TRACE_POLICY)),
             reductions=tuple(entry.get("reductions") or ()),
             observe=bool(entry.get("observe", False)),
             max_seconds=entry.get("max_seconds"),
@@ -194,7 +196,6 @@ class CatalogEntry:
         version: str,
         spec_key: str,
         payload: dict[str, Any],
-        trace_format: Optional[str],
         nbytes: int,
     ) -> "CatalogEntry":
         """Derive an entry from a cache ``result.json`` payload.
@@ -202,10 +203,7 @@ class CatalogEntry:
         The single derivation path shared by incremental indexing (which
         has the live spec/result but serializes through the same
         manifest/scalars) and :meth:`Catalog.rebuild` (which only has
-        the file) — so both produce identical records.  A manifest
-        leaves out the default trace policy: that is ``"rle"``, except
-        for an entry written up to version 1.2.1 that holds a dense
-        ``trace.npz`` (the default was then ``"full"``).
+        the file) — so both produce identical records.
         """
         manifest = payload.get("spec") or {}
         scalars = payload.get("result") or {}
@@ -222,10 +220,7 @@ class CatalogEntry:
             core_config=manifest.get("core_config"),
             scheduler=scheduler,
             seed=int(manifest.get("seed", 0)),
-            trace_policy=str(manifest.get(
-                "trace_policy", "full" if trace_format == "npz" else "rle"
-            )),
-            trace_format=trace_format,
+            trace_policy=str(manifest.get("trace_policy", DEFAULT_TRACE_POLICY)),
             reductions=tuple(manifest.get("reductions") or ()),
             observe=bool(manifest.get("observe", False)),
             max_seconds=manifest.get("max_seconds"),
@@ -234,28 +229,6 @@ class CatalogEntry:
             scheduler_params=params,
             trace_summary=_summary(payload),
         )
-
-
-def _entry_trace_format(entry_dir: str) -> tuple[Optional[str], int]:
-    """(trace format, total entry bytes) from an entry directory listing.
-
-    ``"npz"`` marks a dense trace written by version 1.2.1 or earlier.
-    """
-    trace_format = None
-    nbytes = 0
-    try:
-        with os.scandir(entry_dir) as it:
-            for item in it:
-                if not item.is_file():
-                    continue
-                nbytes += item.stat().st_size
-                if item.name == "trace.rle":
-                    trace_format = "rle"
-                elif item.name == "trace.npz" and trace_format is None:
-                    trace_format = "npz"
-    except OSError:
-        pass
-    return trace_format, nbytes
 
 
 class Catalog:
@@ -302,13 +275,10 @@ class Catalog:
         version: str,
         spec_key: str,
         payload: dict[str, Any],
-        entry_dir: str,
+        nbytes: int,
     ) -> bool:
         """Index one just-stored cache entry (called by ``ResultCache.store``)."""
-        trace_format, nbytes = _entry_trace_format(entry_dir)
-        entry = CatalogEntry.from_result_payload(
-            version, spec_key, payload, trace_format, nbytes
-        )
+        entry = CatalogEntry.from_result_payload(version, spec_key, payload, nbytes)
         return self._append({
             "op": "store",
             "version": version,
@@ -383,6 +353,8 @@ class Catalog:
 
     def scan(self) -> list[CatalogEntry]:
         """Derive the entry set by scanning the cache tree (no log I/O)."""
+        from repro.runner.cache import dir_nbytes
+
         entries: list[CatalogEntry] = []
         try:
             versions = sorted(os.listdir(self.root))
@@ -402,9 +374,8 @@ class Catalog:
                         payload = json.load(fh)
                 except (OSError, ValueError):
                     continue
-                trace_format, nbytes = _entry_trace_format(entry_dir)
                 entries.append(CatalogEntry.from_result_payload(
-                    version, spec_key, payload, trace_format, nbytes
+                    version, spec_key, payload, dir_nbytes(entry_dir)
                 ))
         return entries
 

@@ -23,8 +23,8 @@ products and summing per-tick values round to the same float.
 Kernels run once per cache entry, at store time:
 :func:`trace_summary` bundles every kernel's mergeable output and
 ``ResultCache.store`` writes it into ``result.json``, where the catalog
-picks it up.  Lake queries fold those summaries and reopen a trace file
-only for an entry stored without one (written by an older version).
+picks it up.  Lake queries fold those summaries and never open a trace
+file; an entry written before 1.3.0 without one contributes scalars only.
 
 The multi-row kernels need per-tick conjunctions of *independently*
 run-length-encoded rows (e.g. "any core of the cluster busy").  That is
@@ -323,8 +323,8 @@ def trace_summary(rle: RLETrace) -> dict[str, Any]:
 
     The per-entry ``trace_summary`` of ``result.json`` and the catalog.
     OPP keys are strings and residency pairs are ``[counts, n_active]``
-    lists — what a JSON round trip yields anyway — so a summary computed
-    on the spot and one read back from disk are interchangeable.
+    lists — what a JSON round trip yields anyway — so a summary held in
+    memory and one read back from disk are interchangeable.
     ``duration_s`` is ``n_ticks * tick_s``; floats survive JSON exactly.
     """
     aggs = kernel_aggregates(rle)

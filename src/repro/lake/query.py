@@ -2,9 +2,9 @@
 
 A :class:`LakeQuery` filters catalog entries, groups them on catalog
 dimensions, and folds each group through scalar aggregates (over the
-metrics stored in the catalog — no trace I/O) and/or **kernel
-aggregates** (over the cached RLE traces, via :mod:`repro.lake.kernels`
-— no densification).  Example, the Table V shape from cache alone::
+metrics stored in the catalog) and/or **kernel aggregates** (over each
+entry's stored :mod:`repro.lake.kernels` summary); neither opens a
+trace file.  Example, the Table V shape from cache alone::
 
     rows = (
         LakeQuery(catalog)
@@ -37,38 +37,22 @@ Aggregate specs:
 
 Kernel aggregates fold each entry's ``trace_summary`` — the kernel
 outputs computed once, when ``ResultCache.store`` wrote the entry — so
-a query costs O(catalog lines) and opens no trace file.  An entry stored
-without a summary (by an older version) gets one computed on the spot
-from its trace file, counted in ``lake.query.trace_loads``: RLE files
-feed the kernels directly (``LazyTrace.rle`` — never inflated), the
-dense ``.npz`` files of versions up to 1.2.1 are re-encoded in memory
-via :meth:`RLETrace.from_trace`.
-A trace file that cannot be read is skipped with a warning and counted
-in ``lake.query.corrupt``; entries with no trace
-(``trace_policy="none"``) are skipped and counted in
-``lake.query.skipped_no_trace``.
+a query costs O(catalog lines).  An entry with no summary is skipped by
+kernel aggregates and counted in ``QueryResult.skipped_no_trace`` and
+``lake.query.skipped_no_trace``: a traceless entry
+(``trace_policy="none"``), or one written before 1.3.0 without a
+summary, which contributes its scalars only.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from math import fsum
 from typing import Any, Optional
 
 from repro.lake.catalog import Catalog, CatalogEntry
-from repro.lake.kernels import trace_summary
-from repro.obs.logsetup import get_logger
 from repro.obs.metrics import global_metrics
-from repro.sim.traceio import (
-    TRACE_READ_ERRORS,
-    LazyTrace,
-    RLETrace,
-    load_trace_lazy,
-)
-
-log = get_logger("lake.query")
 
 __all__ = ["LakeQuery", "QueryResult", "SCALAR_AGGS", "KERNEL_AGGS"]
 
@@ -78,41 +62,6 @@ KERNEL_AGGS = (
     "freq_hist:little", "freq_hist:big",
     "migrations", "energy",
 )
-
-
-def _entry_rle(entry: CatalogEntry, root: str) -> Optional[RLETrace]:
-    """The entry's trace in RLE form, or ``None`` if it stored no trace.
-
-    RLE files never inflate (the lazy proxy hands over its payload);
-    dense ``.npz`` files (written up to version 1.2.1) are *encoded* — ``RLETrace.from_trace`` reads
-    the stored arrays but builds run-lengths, it does not count as a
-    materialization (nothing RLE existed to densify).
-    """
-    entry_dir = os.path.join(root, entry.version, entry.spec_key)
-    if entry.trace_format is not None:
-        global_metrics().counter("lake.query.trace_loads").inc()
-    if entry.trace_format == "rle":
-        trace = load_trace_lazy(os.path.join(entry_dir, "trace.rle"))
-        assert isinstance(trace, LazyTrace)
-        return trace.rle
-    if entry.trace_format == "npz":
-        from repro.sim.traceio import load_trace
-
-        return RLETrace.from_trace(load_trace(os.path.join(entry_dir, "trace.npz")))
-    return None
-
-
-def _entry_summary(entry: CatalogEntry, root: str) -> Optional[dict[str, Any]]:
-    """The entry's kernel aggregates, or ``None`` if it stored no trace.
-
-    Read from the catalog when the entry has a ``trace_summary``;
-    otherwise computed from the trace file, which raises one of
-    :data:`~repro.sim.traceio.TRACE_READ_ERRORS` if the file is corrupt.
-    """
-    if entry.trace_summary is not None:
-        return entry.trace_summary
-    rle = _entry_rle(entry, root)
-    return trace_summary(rle) if rle is not None else None
 
 
 def _merge_khz(acc: dict[int, int], counts: dict[Any, int]) -> None:
@@ -133,7 +82,6 @@ class _KernelAcc:
         self.specs = specs
         self.entries = 0
         self.skipped = 0
-        self.corrupt = 0
         self.duration_s = 0.0
         self.residency: dict[str, tuple[dict[int, int], int]] = {
             "little": ({}, 0), "big": ({}, 0),
@@ -215,20 +163,16 @@ class QueryResult:
     group_dims: tuple[str, ...]
     agg_specs: tuple[str, ...]
     rows: list[dict[str, Any]]
+    #: Entries without a ``trace_summary``, skipped by kernel aggregates.
     skipped_no_trace: int = 0
-    #: Entries whose trace file could not be read (skipped, not fatal).
-    corrupt: int = 0
 
     def to_jsonable(self) -> dict[str, Any]:
-        payload = {
+        return {
             "group_by": list(self.group_dims),
             "agg": list(self.agg_specs),
             "rows": self.rows,
             "skipped_no_trace": self.skipped_no_trace,
         }
-        if self.corrupt:  # absent when clean: clean queries' JSON is unchanged
-            payload["corrupt"] = self.corrupt
-        return payload
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_jsonable(), indent=indent, sort_keys=True)
@@ -253,12 +197,7 @@ class QueryResult:
         text = render_table(headers, table_rows, title=title, float_fmt="{:.3f}")
         if self.skipped_no_trace:
             text += (
-                f"\n({self.skipped_no_trace} entries without a stored trace "
-                "skipped by kernel aggregates)"
-            )
-        if self.corrupt:
-            text += (
-                f"\n({self.corrupt} entries with an unreadable trace file "
+                f"\n({self.skipped_no_trace} entries without a trace summary "
                 "skipped by kernel aggregates)"
             )
         return text
@@ -330,7 +269,6 @@ class LakeQuery:
 
         kernel_specs = [s for s in self._aggs if s in KERNEL_AGGS]
         skipped_total = 0
-        corrupt_total = 0
         rows: list[dict[str, Any]] = []
         for key in sorted(groups):
             members = groups[key]
@@ -338,22 +276,11 @@ class LakeQuery:
             acc = _KernelAcc(kernel_specs) if kernel_specs else None
             if acc is not None:
                 for entry in members:
-                    try:
-                        summary = _entry_summary(entry, self.catalog.root)
-                    except TRACE_READ_ERRORS as exc:
-                        log.warning(
-                            "lake query: skipping %s/%s (%s), unreadable "
-                            "trace file: %s", entry.version, entry.spec_key,
-                            entry.workload, exc,
-                        )
-                        acc.corrupt += 1
+                    if entry.trace_summary is None:
+                        acc.skipped += 1
                     else:
-                        if summary is None:
-                            acc.skipped += 1
-                        else:
-                            acc.add(summary)
+                        acc.add(entry.trace_summary)
                 skipped_total += acc.skipped
-                corrupt_total += acc.corrupt
             kernel_out = acc.results() if acc is not None else {}
             for spec in self._aggs:
                 if spec == "count":
@@ -366,12 +293,9 @@ class LakeQuery:
             rows.append(row)
         if skipped_total:
             reg.counter("lake.query.skipped_no_trace").inc(skipped_total)
-        if corrupt_total:
-            reg.counter("lake.query.corrupt").inc(corrupt_total)
         return QueryResult(
             group_dims=self._groups,
             agg_specs=self._aggs,
             rows=rows,
             skipped_no_trace=skipped_total,
-            corrupt=corrupt_total,
         )

@@ -9,10 +9,10 @@ from the cache:
 
 - scalar metric deltas (energy, power, duration, headline metric) per
   common spec,
-- aggregate big-cluster residency deltas for specs with a stored trace
-  (RLE or dense) on both sides, read from each entry's
-  ``trace_summary`` (the no-densify kernels' output, computed at store
-  time; entries stored without one are summarized from the trace file),
+- aggregate big-cluster residency deltas for specs with a
+  ``trace_summary`` on both sides (the no-densify kernels' output,
+  computed at store time; an entry without one, traceless or written
+  before 1.3.0, contributes its scalars only),
 - specs present on only one side (new/removed coverage).
 
 ``biglittle lake diff 1.1.0 1.2.0`` is the CLI face of this module.
@@ -24,12 +24,7 @@ from math import fsum
 from typing import Any, Optional
 
 from repro.lake.catalog import Catalog, CatalogEntry
-from repro.lake.query import _entry_summary
-from repro.obs.logsetup import get_logger
 from repro.obs.metrics import global_metrics
-from repro.sim.traceio import TRACE_READ_ERRORS
-
-log = get_logger("lake.regress")
 
 __all__ = ["diff_versions", "render_diff"]
 
@@ -63,18 +58,10 @@ def _metric_deltas(
     return deltas
 
 
-def _big_residency(entry: CatalogEntry, root: str) -> Optional[dict[int, float]]:
-    try:
-        summary = _entry_summary(entry, root)
-    except TRACE_READ_ERRORS as exc:
-        log.warning(
-            "lake diff: no residency for %s/%s, unreadable trace file: %s",
-            entry.version, entry.spec_key, exc,
-        )
+def _big_residency(entry: CatalogEntry) -> Optional[dict[int, float]]:
+    if entry.trace_summary is None:
         return None
-    if summary is None:
-        return None
-    counts, n_active = summary["residency_big"]
+    counts, n_active = entry.trace_summary["residency_big"]
     if n_active == 0:
         return {}
     return {int(khz): 100.0 * ticks / n_active for khz, ticks in counts.items()}
@@ -116,8 +103,7 @@ def diff_versions(
             "scheduler": b.scheduler,
             "metrics": _metric_deltas(a, b, rel_tolerance),
         }
-        res_a = _big_residency(a, catalog.root)
-        res_b = _big_residency(b, catalog.root)
+        res_a, res_b = _big_residency(a), _big_residency(b)
         if res_a is not None and res_b is not None:
             delta = _residency_delta(res_a, res_b)
             if delta["total_abs_pp"] > 0.0:

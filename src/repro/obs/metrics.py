@@ -362,9 +362,9 @@ def attach_collector(bus: EventBus, collector: Optional[MetricsCollector] = None
 #: - ``trace.materializations`` — every ``RLETrace.to_trace`` call; the
 #:   lake asserts its queries keep this flat (no densification),
 #: - ``lake.*`` — trace-lake activity: ``lake.queries`` /
-#:   ``lake.query.entries`` / ``lake.query.skipped_no_trace``,
-#:   ``lake.query.trace_loads`` (trace files opened for entries stored
-#:   without a ``trace_summary``) / ``lake.query.corrupt``,
+#:   ``lake.query.entries`` / ``lake.query.skipped_no_trace`` (entries
+#:   without a ``trace_summary``: traceless, or written before 1.3.0
+#:   without one, which contribute scalars only),
 #:   ``lake.kernel_runs`` + ``lake.kernel.<name>``, ``lake.diffs``,
 #:   ``lake.catalog.appends`` / ``append_errors`` / ``rebuilds`` /
 #:   ``skipped_lines``.

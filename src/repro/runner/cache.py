@@ -15,9 +15,11 @@ Layout: ``<root>/<repro.__version__>/<spec_key>/`` holding
   compressed read until someone touches the dense arrays.  Entries
   with no trace file simply had none (``trace_policy="none"``).
 
-Versions up to 1.2.1 also wrote dense ``trace.npz`` files; this cache
-no longer reads or writes them (the lake still indexes them, see
-:mod:`repro.lake.catalog`).
+Versions up to 1.2.1 also wrote dense ``trace.npz`` files.  Nothing
+reads them any more: they sit under their own version directory, which
+this cache never serves, and the lake indexes those entries by their
+scalars alone.  :meth:`ResultCache.prune_versions` (``biglittle cache
+--prune``) deletes them.
 
 Every ``store``/``evict`` also appends a record to the lake catalog
 (``<root>/catalog.jsonl``, see :mod:`repro.lake.catalog`), keeping the
@@ -73,7 +75,7 @@ def default_cache_dir() -> str:
     )
 
 
-def _dir_nbytes(path: str) -> int:
+def dir_nbytes(path: str) -> int:
     """Total size of the regular files directly inside ``path``."""
     total = 0
     try:
@@ -215,7 +217,7 @@ class ResultCache:
         except TypeError as exc:
             self._corrupt(spec, f"result scalars do not fit RunResult ({exc})")
             return None
-        loaded = _dir_nbytes(entry)
+        loaded = dir_nbytes(entry)
         self.stats.hits += 1
         self.stats.bytes_loaded += loaded
         reg = global_metrics()
@@ -248,7 +250,7 @@ class ResultCache:
                 json.dump(payload, f, indent=2, sort_keys=True)
             if result.trace is not None:
                 save_trace_rle(result.trace, os.path.join(tmp, self.RLE_TRACE_FILE))
-            written = _dir_nbytes(tmp)
+            written = dir_nbytes(tmp)
             if os.path.isdir(entry):
                 shutil.rmtree(entry, ignore_errors=True)
             if not _publish(tmp, entry):
@@ -268,7 +270,7 @@ class ResultCache:
         reg = global_metrics()
         reg.counter("cache.bytes_written").inc(written)
         reg.histogram("cache.entry_bytes", TRANSPORT_BUCKETS_BYTES).observe(written)
-        self._catalog().append_store(self.version, spec.key(), payload, entry)
+        self._catalog().append_store(self.version, spec.key(), payload, written)
         return entry
 
     def _catalog(self):
@@ -310,7 +312,7 @@ class ResultCache:
                         if not entry.is_dir() or entry.name.startswith(".tmp-"):
                             continue
                         entries += 1
-                        nbytes += _dir_nbytes(entry.path)
+                        nbytes += dir_nbytes(entry.path)
             except OSError:
                 continue
             stats[version] = {"entries": entries, "bytes": nbytes}
@@ -322,17 +324,25 @@ class ResultCache:
         The user-facing GC behind ``biglittle cache --prune``: a version
         bump invalidates old entries wholesale but nothing deleted them
         until now — thousand-point explore studies would otherwise
-        accrete a dead tree per release.  Returns
+        accrete a dead tree per release.  Each removed entry is evicted
+        from the lake catalog too, if the cache has one.  Returns
         ``(entries_removed, bytes_removed)``.
         """
         if keep is None:
             keep = {self.version}
+        catalog = self._catalog()
+        indexed = catalog.exists()
         removed_entries = 0
         removed_bytes = 0
         for version, stat in self.disk_stats().items():
             if version in keep:
                 continue
-            shutil.rmtree(os.path.join(self.root, version), ignore_errors=True)
+            vdir = os.path.join(self.root, version)
+            keys = [k for k in os.listdir(vdir) if not k.startswith(".tmp-")]
+            shutil.rmtree(vdir, ignore_errors=True)
+            if indexed:
+                for spec_key in keys:
+                    catalog.append_evict(version, spec_key)
             removed_entries += stat["entries"]
             removed_bytes += stat["bytes"]
         return removed_entries, removed_bytes

@@ -4,22 +4,20 @@ Traces are the interface between simulation and analysis; persisting
 them lets expensive runs be archived, diffed across code versions, and
 analyzed offline (all of :mod:`repro.core` works on loaded traces).
 
-Two on-disk formats share one loader:
+There is one on-disk format, **RLE** (format version 3): a single
+``.npz`` holding each trace column run-length encoded, plus a small
+JSON-encoded header with core metadata.  The fast-forward engine
+produces long piecewise-constant spans, so freq/power/idle columns
+collapse to (value, run-length) pairs at a fraction of the dense size.
+Decoding is bit-exact: values are stored in their native dtypes and
+inflated with :func:`numpy.repeat`, so a dense→RLE→dense round trip
+reproduces every byte.  The same bytes travel in memory as the
+distributed protocol's trace blob (:func:`trace_rle_to_bytes`).
 
-- **dense** (format version 2): a single ``.npz`` holding the raw
-  busy/frequency/power arrays plus a small JSON-encoded header with
-  core metadata;
-- **RLE** (format version 3): the same columns run-length encoded.
-  The fast-forward engine produces long piecewise-constant spans, so
-  freq/power/idle columns collapse to (value, run-length) pairs at a
-  fraction of the dense size.  Decoding is bit-exact: values are stored
-  in their native dtypes and inflated with :func:`numpy.repeat`, so a
-  dense→RLE→dense round trip reproduces every byte.
-
-:func:`load_trace` dispatches on the header version and always returns
-a dense :class:`Trace`; :func:`load_trace_lazy` returns a
-:class:`LazyTrace` proxy for RLE files, deferring inflation until the
-first array access.  Paths may be ``str`` or any :class:`os.PathLike`.
+:func:`load_trace_lazy` returns a :class:`LazyTrace` proxy, deferring
+inflation until the first array access; :func:`load_trace` is its
+materialized, dense :class:`Trace`.  Paths may be ``str`` or any
+:class:`os.PathLike`.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import numpy as np
 from repro.platform.coretypes import CoreType
 from repro.sim.trace import Trace
 
-FORMAT_VERSION = 2  # dense; v2 added per-cluster CPU power and wakeup counts
 RLE_FORMAT_VERSION = 3  # run-length-encoded columnar format
 
 PathArg = Union[str, "os.PathLike[str]"]
@@ -44,7 +41,7 @@ PathArg = Union[str, "os.PathLike[str]"]
 #: What loading a truncated, bit-rotted or hand-edited trace file can
 #: raise.  numpy's npz reader surfaces truncation as ``BadZipFile`` or
 #: ``EOFError`` rather than ``OSError``, depending on where the file was
-#: cut; header and shape checks raise ``ValueError``/``KeyError``.
+#: cut; header and run checks raise ``ValueError``/``KeyError``.
 TRACE_READ_ERRORS = (OSError, ValueError, KeyError, EOFError, BadZipFile)
 
 #: The trace columns in canonical order: (name, rows) where ``rows`` is
@@ -323,15 +320,6 @@ class LazyTrace:
 # ---------------------------------------------------------------------------
 
 
-def _header(trace: Union[Trace, LazyTrace, RLETrace], version: int) -> dict:
-    return {
-        "version": version,
-        "core_types": [t.value for t in trace.core_types],
-        "enabled": list(trace.enabled),
-        "tick_s": trace.tick_s,
-    }
-
-
 def _write_npz(path: str, arrays: dict[str, np.ndarray]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -339,26 +327,6 @@ def _write_npz(path: str, arrays: dict[str, np.ndarray]) -> None:
     # ``.npz`` to extensionless paths such as the cache's ``trace.rle``.
     with open(path, "wb") as f:
         np.savez_compressed(f, **arrays)
-
-
-def save_trace(trace: Trace, path: PathArg) -> None:
-    """Write ``trace`` to ``path`` in the dense ``.npz`` format."""
-    path = os.fspath(path)
-    header = _header(trace, FORMAT_VERSION)
-    _write_npz(path, {
-        "header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        "busy": trace.busy,
-        "freq": np.stack([
-            trace.freq_khz(CoreType.LITTLE),
-            trace.freq_khz(CoreType.BIG),
-        ]),
-        "power": trace.power_mw,
-        "cpu_power": np.stack([
-            trace.cpu_power_mw(CoreType.LITTLE),
-            trace.cpu_power_mw(CoreType.BIG),
-        ]),
-        "wakeups": trace.wakeups,
-    })
 
 
 def _rle_arrays(trace: Union[Trace, LazyTrace, RLETrace]) -> dict[str, np.ndarray]:
@@ -369,8 +337,13 @@ def _rle_arrays(trace: Union[Trace, LazyTrace, RLETrace]) -> dict[str, np.ndarra
         rle = trace
     else:
         rle = RLETrace.from_trace(trace)
-    header = _header(rle, RLE_FORMAT_VERSION)
-    header["n_ticks"] = rle.n_ticks
+    header = {
+        "version": RLE_FORMAT_VERSION,
+        "core_types": [t.value for t in rle.core_types],
+        "enabled": list(rle.enabled),
+        "tick_s": rle.tick_s,
+        "n_ticks": rle.n_ticks,
+    }
     arrays = {
         "header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
     }
@@ -402,85 +375,45 @@ def trace_rle_to_bytes(trace: Union[Trace, LazyTrace, RLETrace]) -> bytes:
 
 def load_trace_rle_bytes(data: bytes) -> LazyTrace:
     """Inverse of :func:`trace_rle_to_bytes`; validates like file loads."""
-    with np.load(io.BytesIO(data)) as arrays:
-        header = _load_header("<bytes>", arrays)
-        if header.get("version") != RLE_FORMAT_VERSION:
+    return LazyTrace(_read_rle(io.BytesIO(data), "<bytes>"))
+
+
+def _read_rle(source, path: str) -> RLETrace:
+    """Read and validate one RLE npz from a path or binary file object.
+
+    Raises :class:`ValueError` on a missing header or array, an
+    unsupported format version, or runs that disagree with the header —
+    a truncated or hand-edited file fails loudly here instead of
+    producing shifted analyses downstream.
+    """
+    with np.load(source) as data:
+        if "header" not in data:
+            raise ValueError(f"corrupt trace file {path}: missing arrays header")
+        header = json.loads(bytes(data["header"].tobytes()).decode())
+        version = header.get("version")
+        if version != RLE_FORMAT_VERSION:
             raise ValueError(
-                f"expected RLE format v{RLE_FORMAT_VERSION}, "
-                f"got {header.get('version')!r}"
+                f"unsupported trace format version {version!r} in {path} "
+                f"(expected {RLE_FORMAT_VERSION})"
             )
-        return LazyTrace(_load_rle("<bytes>", arrays, header))
-
-
-def _load_header(path: str, data) -> dict:
-    if "header" not in data:
-        raise ValueError(f"corrupt trace file {path}: missing arrays header")
-    return json.loads(bytes(data["header"].tobytes()).decode())
-
-
-def _load_dense(path: str, data, header: dict) -> Trace:
-    required = ("busy", "freq", "power", "cpu_power", "wakeups")
-    missing = [k for k in required if k not in data]
-    if missing:
-        raise ValueError(
-            f"corrupt trace file {path}: missing arrays {', '.join(missing)}"
-        )
-    busy = np.array(data["busy"], dtype=np.float32)
-    freq = np.array(data["freq"], dtype=np.int32)
-    power = np.array(data["power"], dtype=np.float32)
-    cpu_power = np.array(data["cpu_power"], dtype=np.float32)
-    wakeups = np.array(data["wakeups"], dtype=np.int16)
-
-    core_types = [CoreType(v) for v in header["core_types"]]
-    if busy.ndim != 2 or busy.shape[0] != len(core_types):
-        raise ValueError(
-            f"corrupt trace file {path}: busy has shape {busy.shape} but the "
-            f"header names {len(core_types)} cores"
-        )
-    n_ticks = busy.shape[1]
-    lengths = {
-        "freq": freq.shape[1] if freq.ndim == 2 else -1,
-        "power": power.shape[0] if power.ndim == 1 else -1,
-        "cpu_power": cpu_power.shape[1] if cpu_power.ndim == 2 else -1,
-        "wakeups": wakeups.shape[0] if wakeups.ndim == 1 else -1,
-    }
-    bad = {k: v for k, v in lengths.items() if v != n_ticks}
-    if bad:
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(bad.items()))
-        raise ValueError(
-            f"corrupt trace file {path}: busy records {n_ticks} ticks but "
-            f"{detail} (tick counts must match across all arrays)"
-        )
-    trace = Trace(core_types, list(header["enabled"]), max_ticks=max(1, n_ticks))
-    trace._busy[:, :n_ticks] = busy
-    trace._freq[:, :n_ticks] = freq
-    trace._power[:n_ticks] = power
-    trace._cpu_power[:, :n_ticks] = cpu_power
-    trace._wakeups[:n_ticks] = wakeups
-    trace._len = n_ticks
-    trace.finalize()
-    return trace
-
-
-def _load_rle(path: str, data, header: dict) -> RLETrace:
-    required = [
-        f"{name}_{part}"
-        for name in _COLUMNS
-        for part in ("values", "lengths", "splits")
-    ]
-    missing = [k for k in required if k not in data]
-    if missing:
-        raise ValueError(
-            f"corrupt trace file {path}: missing arrays {', '.join(missing)}"
-        )
-    columns = {
-        name: RLEColumn(
-            values=np.array(data[f"{name}_values"]),
-            lengths=np.array(data[f"{name}_lengths"], dtype=np.int64),
-            row_splits=np.array(data[f"{name}_splits"], dtype=np.int64),
-        )
-        for name in _COLUMNS
-    }
+        required = [
+            f"{name}_{part}"
+            for name in _COLUMNS
+            for part in ("values", "lengths", "splits")
+        ]
+        missing = [k for k in required if k not in data]
+        if missing:
+            raise ValueError(
+                f"corrupt trace file {path}: missing arrays {', '.join(missing)}"
+            )
+        columns = {
+            name: RLEColumn(
+                values=np.array(data[f"{name}_values"]),
+                lengths=np.array(data[f"{name}_lengths"], dtype=np.int64),
+                row_splits=np.array(data[f"{name}_splits"], dtype=np.int64),
+            )
+            for name in _COLUMNS
+        }
     rle = RLETrace(
         core_types=[CoreType(v) for v in header["core_types"]],
         enabled=list(header["enabled"]),
@@ -492,39 +425,18 @@ def _load_rle(path: str, data, header: dict) -> RLETrace:
     return rle
 
 
-def _load(path: PathArg) -> Union[Trace, RLETrace]:
-    path = os.fspath(path)
-    with np.load(path) as data:
-        header = _load_header(path, data)
-        version = header.get("version")
-        if version == FORMAT_VERSION:
-            return _load_dense(path, data, header)
-        if version == RLE_FORMAT_VERSION:
-            return _load_rle(path, data, header)
-        raise ValueError(
-            f"unsupported trace format version {version!r} in {path}"
-        )
-
-
-def load_trace(path: PathArg) -> Trace:
-    """Load a trace written by :func:`save_trace` or :func:`save_trace_rle`.
-
-    Always returns a dense :class:`Trace` (RLE files are inflated
-    eagerly).  Raises :class:`ValueError` on format-version mismatch, on
-    a missing array, or when the arrays disagree on tick count or core
-    count — a truncated or hand-edited file fails loudly here instead of
-    producing shifted analyses downstream.
-    """
-    loaded = _load(path)
-    return loaded.to_trace() if isinstance(loaded, RLETrace) else loaded
-
-
-def load_trace_lazy(path: PathArg) -> Union[Trace, LazyTrace]:
-    """Like :func:`load_trace`, but RLE files return a :class:`LazyTrace`.
+def load_trace_lazy(path: PathArg) -> LazyTrace:
+    """Load a trace written by :func:`save_trace_rle` as a :class:`LazyTrace`.
 
     The proxy costs run-count memory until an analysis touches the dense
     arrays — the cache hit-load fast path for consumers that only read
-    scalars or precomputed reductions.
+    scalars or precomputed reductions.  A truncated or hand-edited file
+    raises one of :data:`TRACE_READ_ERRORS`.
     """
-    loaded = _load(path)
-    return LazyTrace(loaded) if isinstance(loaded, RLETrace) else loaded
+    path = os.fspath(path)
+    return LazyTrace(_read_rle(path, path))
+
+
+def load_trace(path: PathArg) -> Trace:
+    """Load a trace written by :func:`save_trace_rle` as a dense :class:`Trace`."""
+    return load_trace_lazy(path).materialize()

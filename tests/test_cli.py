@@ -1,10 +1,44 @@
 """Tests for the ``biglittle`` command-line interface."""
 
 import os
+import re
+import shlex
 
 import pytest
 
+import repro.cli
+import repro.dist
 from repro.cli import build_parser, main
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+
+
+def _documented_commands() -> list[str]:
+    """Every ``biglittle …`` line in README.md's shell blocks and in the
+    ``repro.cli`` and ``repro.dist`` docstrings, continuations joined and
+    ``#`` comments dropped."""
+    with open(README) as fh:
+        readme = fh.read()
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme, re.M | re.S)
+    texts = blocks + [repro.cli.__doc__, repro.dist.__doc__]
+    commands = []
+    for text in texts:
+        for line in re.sub(r"\\\n\s*", " ", text).splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("biglittle "):
+                commands.append(line)
+    return commands
+
+
+class TestDocumentedCommands:
+    def test_documents_commands(self):
+        commands = _documented_commands()
+        assert len(commands) > 20
+        assert any(c.startswith("biglittle worker") for c in commands)
+
+    @pytest.mark.parametrize("command", _documented_commands())
+    def test_documented_command_parses(self, command):
+        build_parser().parse_args(shlex.split(command)[1:])
 
 
 class TestParser:
@@ -249,7 +283,7 @@ class TestCacheCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "0.0.0-old" in out and "stale" in out
-        assert "this process:" in out
+        assert "Per-app breakdown" in out
 
         rc = main(["cache", "--prune", "--cache-dir", str(tmp_path)])
         assert rc == 0

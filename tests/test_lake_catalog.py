@@ -18,11 +18,10 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.lake import CATALOG_SCHEMA_VERSION, Catalog, LakeQuery
+from repro.lake import CATALOG_SCHEMA_VERSION, Catalog, CatalogEntry, LakeQuery
 from repro.lake.regress import diff_versions, render_diff
 from repro.obs.metrics import global_metrics, reset_global_metrics
 from repro.runner import BatchRunner, ResultCache, RunSpec, execute_spec
-from tests.legacy_cache import write_dense_entry
 
 APPS = ("bbench", "video-player")
 SEEDS = (0, 1)
@@ -64,7 +63,7 @@ class TestCatalog:
             if e.workload == "bbench" and e.seed == 0
         )
         assert entry.trace_policy == "rle"
-        assert entry.trace_format == "rle"
+        assert entry.trace_summary is not None
         assert entry.scheduler == "baseline"
         assert entry.dim("gov.hold_ms") == 80
         assert entry.dim("metrics.avg_power_mw") == entry.metrics["avg_power_mw"]
@@ -83,7 +82,7 @@ class TestCatalog:
             e for e in Catalog(root=lake_root).entries() if e.workload == "browser"
         )
         assert entry.trace_policy == "none"
-        assert entry.trace_format is None
+        assert entry.trace_summary is None
 
     def test_evict_appends_and_folds_away(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
@@ -111,6 +110,49 @@ class TestCatalog:
         assert global_metrics().counter("lake.catalog.skipped_lines").value == 2
         catalog.rebuild()  # compaction drops the garbage
         assert len(catalog.entries()) == n
+
+    def test_manifest_without_policy_reads_runspec_default(self):
+        spec = RunSpec("bbench", seed=0, max_seconds=1.0)
+        assert "trace_policy" not in spec.manifest()
+        entry = CatalogEntry.from_result_payload(
+            "1.0.0", spec.key(), {"spec": spec.manifest(), "result": {}}, 0
+        )
+        assert entry.trace_policy == spec.trace_policy
+
+    def test_prune_evicts_pruned_entries(self, tmp_path):
+        root = str(tmp_path)
+        spec = RunSpec("browser", seed=9, max_seconds=1.0, trace_policy="none")
+        result = execute_spec(spec)
+        ResultCache(root=root, version="1.2.9").store(spec, result)
+        current = ResultCache(root=root, version="1.3.0")
+        current.store(spec, result)
+        removed, _ = current.prune_versions()
+        assert removed == 1
+
+        def versions(catalog):
+            rows = LakeQuery(catalog).group_by("version").agg("count").run().rows
+            return {row["version"]: row["count"] for row in rows}
+
+        catalog = Catalog(root=root)
+        assert versions(catalog) == {"1.3.0": 1}
+        assert list(catalog.breakdown()) == ["1.3.0"]
+        catalog.rebuild()
+        assert versions(catalog) == {"1.3.0": 1}
+
+    def test_prune_without_catalog_keeps_the_scan(self, tmp_path):
+        # Evicting into a missing catalog would create a log holding only
+        # evictions, which would hide the kept entries from every reader.
+        root = str(tmp_path)
+        spec = RunSpec("browser", seed=9, max_seconds=1.0, trace_policy="none")
+        result = execute_spec(spec)
+        ResultCache(root=root, version="1.2.9").store(spec, result)
+        current = ResultCache(root=root, version="1.3.0")
+        current.store(spec, result)
+        catalog = Catalog(root=root)
+        os.remove(catalog.path)
+        current.prune_versions()
+        assert not catalog.exists()
+        assert [e.version for e in catalog.load()] == ["1.3.0"]
 
     def test_merge_from_other_catalog(self, lake_root, tmp_path):
         other_cache = ResultCache(root=str(tmp_path))
@@ -186,15 +228,18 @@ class TestLakeQuery:
         # The group percentage must equal recombining the per-entry
         # counts, not averaging per-entry percentages.
         from repro.lake.kernels import residency_counts
-        from repro.lake.query import _entry_rle
         from repro.platform.coretypes import CoreType
+        from repro.sim.traceio import load_trace_lazy
 
         catalog = Catalog(root=lake_root)
         entries = [e for e in catalog.entries() if e.workload == "bbench"]
         counts: dict[int, int] = {}
         total = 0
         for entry in entries:
-            c, n = residency_counts(_entry_rle(entry, lake_root), CoreType.LITTLE)
+            trace = load_trace_lazy(os.path.join(
+                lake_root, entry.version, entry.spec_key, "trace.rle"
+            ))
+            c, n = residency_counts(trace.rle, CoreType.LITTLE)
             for khz, ticks in c.items():
                 counts[khz] = counts.get(khz, 0) + ticks
             total += n
@@ -263,25 +308,19 @@ class TestDiffVersions:
         text = render_diff(payload)
         assert "avg_power_mw" in text and "1.0.0 -> 2.0.0" in text
 
-    def test_diff_reports_residency_shift_for_dense_entries(self, tmp_path):
-        # Entries of version 1.2.1 and earlier store a dense trace.npz
-        # and no summary; the diff reads big-cluster residency from it.
+    def test_diff_reports_residency_shift(self, tmp_path):
+        # The diff reads big-cluster residency from the entries' summaries.
         root = str(tmp_path)
         spec = RunSpec("bbench", seed=3, max_seconds=1.0)
         result = execute_spec(spec)
-        write_dense_entry(
-            root, "1.0.0", spec, result.scalars(), result.trace.materialize(),
-            summary=False,
-        )
+        ResultCache(root=root, version="1.0.0").store(spec, result)
         # Version B: same spec and scalars, a trace with other residency.
         other = execute_spec(RunSpec("video-player", seed=3, max_seconds=1.0))
-        write_dense_entry(
-            root, "2.0.0", spec, result.scalars(), other.trace.materialize(),
-            summary=False,
+        ResultCache(root=root, version="2.0.0").store(
+            spec, dataclasses.replace(result, trace=other.trace)
         )
         catalog = Catalog(root=root)
-        assert {e.trace_format for e in catalog.entries()} == {"npz"}
-        assert {e.trace_policy for e in catalog.entries()} == {"full"}
+        assert all(e.trace_summary is not None for e in catalog.entries())
         payload = diff_versions(catalog, "1.0.0", "2.0.0")
         (record,) = payload["changed"]
         assert record["metrics"] == {}
@@ -332,6 +371,7 @@ class TestLakeCLI:
         out = capsys.readouterr().out
         assert "Per-app breakdown" in out
         assert "bbench" in out and "video-player" in out
+        assert "this process:" not in out  # the command moves no cache traffic
 
     def test_lake_diff_cli_exit_code(self, lake_root, capsys):
         # No common specs between a made-up version pair -> exit 1.

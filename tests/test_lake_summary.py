@@ -2,16 +2,17 @@
 
 ``ResultCache.store`` writes each traced entry's kernel aggregates into
 ``result.json`` as ``trace_summary``; the catalog carries them and lake
-queries fold them without opening a trace file.  Entries stored without
-a summary (older versions) fall back to loading the trace.  These tests
-pin the three views together — summarised, summary-less fallback, and
-the dense twins — and check that a summarised battery does no trace I/O.
+queries fold them without opening a trace file.  An entry without a
+summary (traceless, or written before 1.3.0) is skipped by kernel
+aggregates and counted.  These tests pin the three views together — the
+stored summaries, a fallback that reruns the kernels on each stored
+trace file, and the dense twins — and check that queries do no trace
+I/O.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import shutil
 from math import fsum
@@ -19,7 +20,6 @@ from math import fsum
 import numpy as np
 import pytest
 
-import repro
 from repro.cli import main
 from repro.lake import Catalog, CatalogEntry, LakeQuery
 from repro.lake.kernels import (
@@ -32,14 +32,14 @@ from repro.lake.query import KERNEL_AGGS
 from repro.obs.metrics import global_metrics, reset_global_metrics
 from repro.platform.coretypes import CoreType
 from repro.runner import BatchRunner, ResultCache, RunSpec, execute_spec
-from repro.sim.traceio import LazyTrace, load_trace
-from tests.legacy_cache import write_dense_entry
+from repro.sim import traceio
+from repro.sim.traceio import LazyTrace, load_trace, load_trace_lazy
 
 IDLE_HEAVY_KIND = "repro.runner.benchkinds:run_idle_heavy"
 
-#: RLE and legacy dense entries of two apps, a traceless entry, and one
-#: RLE entry (the only ``browser`` one with a trace) whose summary is
-#: removed.
+#: RLE entries of two apps (explicit and default policy), a traceless
+#: entry, and one RLE entry (the only ``browser`` one with a trace)
+#: whose summary is removed.
 MIXED_SPECS = [
     RunSpec("bbench", seed=0, max_seconds=1.0, trace_policy="rle"),
     RunSpec("bbench", seed=1, max_seconds=1.0, trace_policy="rle"),
@@ -50,55 +50,76 @@ MIXED_SPECS = [
     RunSpec("browser", seed=9, max_seconds=1.0, trace_policy="none"),
 ]
 UNSUMMARISED = MIXED_SPECS[5]
-#: Written in the dense ``trace.npz`` layout of version 1.2.1.
-LEGACY_DENSE = {MIXED_SPECS[2].key(), MIXED_SPECS[4].key()}
 
 
-def _strip_summaries(root: str, keys=None) -> None:
-    """Remove ``trace_summary`` from entries' ``result.json``, then reindex."""
+def _rewrite_summaries(root: str, summarise, keys=None) -> None:
+    """Set each entry's ``trace_summary`` to ``summarise(entry_dir)``
+    (dropped when that is ``None``), then reindex."""
     catalog = Catalog(root=root)
     for entry in catalog.load():
         if keys is not None and entry.spec_key not in keys:
             continue
-        path = os.path.join(root, entry.version, entry.spec_key, "result.json")
+        entry_dir = os.path.join(root, entry.version, entry.spec_key)
+        path = os.path.join(entry_dir, "result.json")
         with open(path) as fh:
             payload = json.load(fh)
         payload.pop("trace_summary", None)
+        summary = summarise(entry_dir)
+        if summary is not None:
+            payload["trace_summary"] = summary
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
     catalog.rebuild()
+
+
+def _strip_summaries(root: str, keys) -> None:
+    _rewrite_summaries(root, lambda entry_dir: None, keys)
 
 
 @pytest.fixture(scope="module")
 def mixed_root(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("mixed"))
     BatchRunner(workers=1, cache=ResultCache(root=root)).run(
-        [s for s in MIXED_SPECS if s.key() not in LEGACY_DENSE]
+        MIXED_SPECS
     ).raise_on_failure()
-    for spec in MIXED_SPECS:
-        if spec.key() in LEGACY_DENSE:
-            result = execute_spec(spec)
-            write_dense_entry(
-                root, repro.__version__, spec, result.scalars(),
-                result.trace.materialize(),
-            )
     _strip_summaries(root, keys={UNSUMMARISED.key()})
     return root
 
 
 @pytest.fixture(scope="module")
-def stripped_root(mixed_root, tmp_path_factory):
-    """The same entries with every summary removed (the fallback path)."""
-    root = str(tmp_path_factory.mktemp("stripped") / "cache")
+def fallback_root(mixed_root, tmp_path_factory):
+    """The same entries, each summary recomputed from its trace file."""
+    root = str(tmp_path_factory.mktemp("fallback") / "cache")
     shutil.copytree(mixed_root, root)
-    _strip_summaries(root)
+    keys = {
+        e.spec_key for e in Catalog(root=root).load()
+        if e.trace_summary is not None
+    }
+    _rewrite_summaries(root, lambda entry_dir: trace_summary(
+        load_trace_lazy(os.path.join(entry_dir, "trace.rle")).rle
+    ), keys)
     return root
+
+
+@pytest.fixture()
+def trace_reads(monkeypatch):
+    """Every trace file read during a test (``np.load`` or an RLE read)."""
+    calls = []
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "load", counting(np.load))
+    monkeypatch.setattr(traceio, "_read_rle", counting(traceio._read_rle))
+    return calls
 
 
 def _dense_trace(root: str, entry: CatalogEntry):
     entry_dir = os.path.join(root, entry.version, entry.spec_key)
-    name = {"rle": "trace.rle", "npz": "trace.npz"}.get(entry.trace_format)
-    return load_trace(os.path.join(entry_dir, name)) if name else None
+    return load_trace(os.path.join(entry_dir, "trace.rle"))
 
 
 def _dense_residency_counts(trace, core_type: CoreType):
@@ -112,7 +133,7 @@ def _dense_residency_counts(trace, core_type: CoreType):
 
 def _dense_group(root: str, entries: list[CatalogEntry], spec: str):
     """One group's kernel aggregate, recomputed from inflated traces."""
-    traces = [t for t in (_dense_trace(root, e) for e in entries) if t is not None]
+    traces = [_dense_trace(root, e) for e in entries]
     duration = 0.0
     for trace in traces:
         duration += len(trace) * trace.tick_s
@@ -148,16 +169,20 @@ class TestSummaryEquivalence:
     @pytest.mark.parametrize("spec", KERNEL_AGGS)
     @pytest.mark.parametrize("group", [(), ("workload",)])
     def test_summary_equals_fallback_and_dense(
-        self, mixed_root, stripped_root, spec, group
+        self, mixed_root, fallback_root, spec, group
     ):
         def run(root):
             return LakeQuery(Catalog(root=root)).group_by(*group).agg(spec).run()
 
-        summarised, fallback = run(mixed_root), run(stripped_root)
+        summarised, fallback = run(mixed_root), run(fallback_root)
         assert summarised.rows == fallback.rows
-        assert summarised.skipped_no_trace == fallback.skipped_no_trace == 1
+        # The traceless entry and the one whose summary was removed.
+        assert summarised.skipped_no_trace == fallback.skipped_no_trace == 2
 
-        entries = Catalog(root=mixed_root).load()
+        entries = [
+            e for e in Catalog(root=mixed_root).load()
+            if e.trace_summary is not None
+        ]
         for row in summarised.rows:
             members = [
                 e for e in entries
@@ -165,50 +190,27 @@ class TestSummaryEquivalence:
             ]
             assert row[spec] == _dense_group(mixed_root, members, spec)
 
-    def test_fixture_mixes_summaries(self, mixed_root, stripped_root):
+    def test_fixture_mixes_summaries(self, mixed_root):
         entries = Catalog(root=mixed_root).load()
         summarised = {e.spec_key: e.trace_summary is not None for e in entries}
-        assert {e.trace_format for e in entries} == {"rle", "npz", None}
         traced = {s.key() for s in MIXED_SPECS if s.trace_policy != "none"}
         assert summarised == {
             s.key(): s.key() in traced and s is not UNSUMMARISED
             for s in MIXED_SPECS
         }
-        assert all(e.trace_summary is None for e in Catalog(root=stripped_root).load())
+        assert {e.trace_policy for e in entries} == {"rle", "none"}
 
 
 class TestNoTraceIO:
-    def test_summarised_battery_loads_no_trace(self, mixed_root, monkeypatch):
-        import repro.lake.query as query_mod
-        import repro.sim.traceio as traceio
-
-        calls = []
-
-        def counting(real):
-            def wrapper(*args, **kwargs):
-                calls.append(args)
-                return real(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(
-            query_mod, "load_trace_lazy", counting(query_mod.load_trace_lazy)
-        )
-        monkeypatch.setattr(traceio, "load_trace", counting(traceio.load_trace))
+    def test_summarised_battery_loads_no_trace(self, mixed_root, trace_reads):
         reset_global_metrics()
         catalog = Catalog(root=mixed_root)
-        for workload in ("bbench", "video-player"):
+        for workload in ("bbench", "video-player", "browser"):
             for spec in KERNEL_AGGS:
                 LakeQuery(catalog).where(workload=workload).agg(spec).run()
-        reg = global_metrics()
-        assert calls == []
-        assert reg.counter("lake.query.trace_loads").value == 0
-        assert reg.counter("trace.materializations").value == 0
-
-        # The one summary-less entry is the only trace a full query opens.
-        LakeQuery(catalog).group_by("workload").agg("energy").run()
-        assert len(calls) == 1
-        assert reg.counter("lake.query.trace_loads").value == 1
-        assert reg.counter("trace.materializations").value == 0
+        LakeQuery(catalog).group_by("workload").agg(*KERNEL_AGGS).run()
+        assert trace_reads == []
+        assert global_metrics().counter("trace.materializations").value == 0
 
     def test_storing_lazy_trace_does_not_inflate(self, tmp_path):
         spec = RunSpec("bbench", seed=4, max_seconds=1.0, trace_policy="rle")
@@ -278,7 +280,7 @@ class TestKhzOrder:
             entry = CatalogEntry(
                 version="1.0.0", spec_key=f"k{i}", workload="w", kind="app",
                 chip="exynos5422", core_config=None, scheduler="baseline",
-                seed=i, trace_policy="rle", trace_format="rle",
+                seed=i, trace_policy="rle",
                 trace_summary=_synthetic_summary(little, big),
             )
             catalog._append({
@@ -294,9 +296,11 @@ class TestKhzOrder:
         assert row["migrations"] == {"up": 2, "down": 2, "total": 4, "per_s": 2.0}
 
 
-class TestCorruptTrace:
+class TestSummaryLessEntry:
+    """An entry without a summary is counted, not lost, and never read."""
+
     @pytest.fixture()
-    def corrupt_root(self, tmp_path):
+    def stripped_root(self, tmp_path):
         root = str(tmp_path)
         specs = [
             RunSpec(
@@ -308,39 +312,54 @@ class TestCorruptTrace:
         BatchRunner(workers=1, cache=ResultCache(root=root)).run(
             specs
         ).raise_on_failure()
-        # Summary-less entries: only the fallback path opens trace files.
-        _strip_summaries(root)
-        bad = os.path.join(ResultCache(root=root).entry_dir(specs[1]), "trace.rle")
-        size = os.path.getsize(bad)
-        with open(bad, "r+b") as fh:
-            fh.truncate(size // 2)
-        return root, specs[1].key()
+        _strip_summaries(root, keys={specs[1].key()})
+        return root, specs[1]
 
-    def test_corrupt_trace_is_skipped_not_fatal(
-        self, corrupt_root, caplog, monkeypatch
-    ):
-        root, bad_key = corrupt_root
-        # A CLI test may have turned propagation off on the "repro" logger.
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    def test_entry_without_summary_is_counted(self, stripped_root, trace_reads):
+        root, stripped = stripped_root
+        # Its trace file is still there to read; the lake must not.
+        assert os.path.isfile(
+            os.path.join(ResultCache(root=root).entry_dir(stripped), "trace.rle")
+        )
         reset_global_metrics()
-        with caplog.at_level("WARNING", logger="repro.lake.query"):
-            result = (
-                LakeQuery(Catalog(root=root))
-                .group_by("workload").agg("count", "energy").run()
-            )
-        assert result.corrupt == 1
-        assert json.loads(result.to_json())["corrupt"] == 1
-        assert global_metrics().counter("lake.query.corrupt").value == 1
-        assert any(bad_key in r.getMessage() for r in caplog.records)
+        result = (
+            LakeQuery(Catalog(root=root))
+            .group_by("workload").agg("count", "energy").run()
+        )
+        assert result.skipped_no_trace == 1
+        assert json.loads(result.to_json())["skipped_no_trace"] == 1
+        assert global_metrics().counter("lake.query.skipped_no_trace").value == 1
         (row,) = result.rows
         assert row["count"] == 3
-        assert row["energy"]["system_mj"] > 0
+        kept = [
+            e.trace_summary["energy"] for e in Catalog(root=root).load()
+            if e.spec_key != stripped.key()
+        ]
+        assert len(kept) == 2
+        assert row["energy"] == {k: fsum(e[k] for e in kept) for k in kept[0]}
+        assert trace_reads == []
 
-    def test_cli_prints_corrupt_count(self, corrupt_root, capsys):
-        root, _ = corrupt_root
+    def test_summary_that_is_not_a_mapping_is_skipped(self, tmp_path, trace_reads):
+        root = str(tmp_path)
+        spec = RunSpec(
+            "idle-heavy", kind=IDLE_HEAVY_KIND, seed=0,
+            max_seconds=5.0, trace_policy="rle",
+        )
+        ResultCache(root=root).store(spec, execute_spec(spec))
+        _rewrite_summaries(root, lambda entry_dir: ["not", "a", "mapping"])
+        result = LakeQuery(Catalog(root=root)).agg("count", "energy").run()
+        assert result.skipped_no_trace == 1
+        assert result.rows == [{"count": 1, "energy": {
+            "little_mj": 0.0, "big_mj": 0.0, "system_mj": 0.0,
+        }}]
+        assert trace_reads == []
+
+    def test_cli_prints_skipped_count(self, stripped_root, capsys):
+        root, _ = stripped_root
         rc = main([
             "lake", "query", "--cache-dir", root,
             "--group-by", "workload", "--agg", "energy",
         ])
         assert rc == 0
-        assert "1 entries with an unreadable trace file" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "1 entries without a trace summary skipped" in out

@@ -8,15 +8,24 @@ from repro.core.tlp import tlp_stats
 from repro.platform.chip import CoreConfig
 from repro.platform.coretypes import CoreType
 from repro.sim.engine import SimConfig, Simulator
-from repro.sim.traceio import load_trace, save_trace
+from repro.sim.traceio import load_trace, save_trace_rle
 from repro.workloads.replay import LoadTraceApp, validate_segments
+
+
+def _rewrite(path, mutate):
+    """Load a trace file's arrays, apply ``mutate(arrays)``, write it back."""
+    with np.load(path) as data:
+        arrays = {k: np.array(data[k]) for k in data.files}
+    mutate(arrays)
+    with open(path, "wb") as f:
+        np.savez_compressed(f, **arrays)
 
 
 class TestTraceIO:
     def test_roundtrip_preserves_arrays(self, tmp_path):
         run = run_app("video-player", seed=3, max_seconds=2.0)
-        path = str(tmp_path / "trace.npz")
-        save_trace(run.trace, path)
+        path = str(tmp_path / "trace.rle")
+        save_trace_rle(run.trace, path)
         loaded = load_trace(path)
         np.testing.assert_array_equal(loaded.busy, run.trace.busy)
         np.testing.assert_array_equal(loaded.power_mw, run.trace.power_mw)
@@ -28,8 +37,8 @@ class TestTraceIO:
 
     def test_analyses_identical_on_loaded_trace(self, tmp_path):
         run = run_app("video-player", seed=3, max_seconds=2.0)
-        path = str(tmp_path / "trace.npz")
-        save_trace(run.trace, path)
+        path = str(tmp_path / "trace.rle")
+        save_trace_rle(run.trace, path)
         loaded = load_trace(path)
         assert tlp_stats(loaded) == tlp_stats(run.trace)
 
@@ -37,16 +46,18 @@ class TestTraceIO:
         import json
 
         run = run_app("video-player", seed=3, max_seconds=1.0)
-        path = str(tmp_path / "trace.npz")
-        save_trace(run.trace, path)
+        path = str(tmp_path / "trace.rle")
+        save_trace_rle(run.trace, path)
         # Corrupt the version field.
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        header = json.loads(bytes(arrays["header"].tobytes()).decode())
-        header["version"] = 99
-        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError):
+        def bump_version(arrays):
+            header = json.loads(bytes(arrays["header"].tobytes()).decode())
+            header["version"] = 99
+            arrays["header"] = np.frombuffer(
+                json.dumps(header).encode(), dtype=np.uint8
+            )
+
+        _rewrite(path, bump_version)
+        with pytest.raises(ValueError, match="unsupported trace format version"):
             load_trace(path)
 
 
@@ -134,38 +145,42 @@ class TestTraceIOValidation:
 
     def test_accepts_pathlike(self, tmp_path):
         trace = self._small_trace()
-        path = tmp_path / "tr.npz"  # pathlib.Path, not str
-        save_trace(trace, path)
+        path = tmp_path / "tr.rle"  # pathlib.Path, not str
+        save_trace_rle(trace, path)
         loaded = load_trace(path)
         np.testing.assert_array_equal(loaded.busy, trace.busy)
         assert len(loaded) == 5
 
     def test_truncated_array_rejected(self, tmp_path):
         trace = self._small_trace()
-        path = tmp_path / "tr.npz"
-        save_trace(trace, path)
-        data = dict(np.load(path))
-        data["power"] = data["power"][:3]
-        np.savez_compressed(str(path), **data)
-        with pytest.raises(ValueError, match="power=3"):
+        path = tmp_path / "tr.rle"
+        save_trace_rle(trace, path)
+
+        def drop_last_power_run(arrays):
+            arrays["power_values"] = arrays["power_values"][:-1]
+            arrays["power_lengths"] = arrays["power_lengths"][:-1]
+            arrays["power_splits"] = arrays["power_splits"] - 1
+
+        _rewrite(path, drop_last_power_run)
+        with pytest.raises(ValueError, match=r"power\[0\]=4"):
             load_trace(path)
 
     def test_missing_array_rejected(self, tmp_path):
         trace = self._small_trace()
-        path = tmp_path / "tr.npz"
-        save_trace(trace, path)
-        data = dict(np.load(path))
-        del data["wakeups"]
-        np.savez_compressed(str(path), **data)
-        with pytest.raises(ValueError, match="missing arrays wakeups"):
+        path = tmp_path / "tr.rle"
+        save_trace_rle(trace, path)
+        _rewrite(path, lambda arrays: arrays.pop("wakeups_values"))
+        with pytest.raises(ValueError, match="missing arrays wakeups_values"):
             load_trace(path)
 
     def test_core_count_mismatch_rejected(self, tmp_path):
         trace = self._small_trace()
-        path = tmp_path / "tr.npz"
-        save_trace(trace, path)
-        data = dict(np.load(path))
-        data["busy"] = data["busy"][:1]  # one core, header says two
-        np.savez_compressed(str(path), **data)
-        with pytest.raises(ValueError, match="header names 2 cores"):
+        path = tmp_path / "tr.rle"
+        save_trace_rle(trace, path)
+
+        def merge_core_rows(arrays):  # one core row, header says two
+            arrays["busy_splits"] = np.array([arrays["busy_splits"].sum()])
+
+        _rewrite(path, merge_core_rows)
+        with pytest.raises(ValueError, match="busy has 1 rows but 2"):
             load_trace(path)
