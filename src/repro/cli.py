@@ -275,7 +275,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         runner=_make_runner(args, cohorts=True),
         full_horizon_s=args.horizon,
         seed=args.seed,
-        checkpoint_path=args.checkpoint,
     )
     result = study.run()
     print(result.render())
@@ -589,8 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="full-fidelity simulated seconds per workload "
                                 "(default: 8)")
     p_explore.add_argument("--seed", type=int, default=0)
-    p_explore.add_argument("--checkpoint", metavar="PATH", default=None,
-                           help="JSONL study checkpoint for crash-resume")
     p_explore.add_argument("--json", metavar="PATH", default=None,
                            help="write the frontier artifact as JSON")
     p_explore.add_argument("--timeout", type=float, default=None,

@@ -101,6 +101,10 @@ class AppRun:
     def min_fps(self) -> float:
         return self.app.min_fps()
 
+    def performance_value(self) -> float:
+        """The app's headline metric: latency (s) or average FPS."""
+        return self.latency_s() if self.metric is Metric.LATENCY else self.avg_fps()
+
     def avg_power_mw(self) -> float:
         return float(self.trace.average_power_mw())
 

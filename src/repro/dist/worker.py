@@ -81,7 +81,12 @@ class DistWorker:
         self._send_lock = threading.Lock()
         self._stop = threading.Event()
         self._conn: Optional[socket.socket] = None
+        # Where the last catalog ship ended: the file's (st_dev, st_ino),
+        # the byte offset, and the last line shipped, which must still
+        # end at that offset for the file to be the same log.
+        self._catalog_file: Optional[tuple[int, int]] = None
         self._catalog_offset = 0
+        self._catalog_tail = b""
 
     # -- plumbing -----------------------------------------------------------
 
@@ -117,7 +122,12 @@ class DistWorker:
                 return
 
     def _catalog_delta(self) -> list[str]:
-        """New ``catalog.jsonl`` lines since the last ship (byte offset)."""
+        """New ``catalog.jsonl`` lines since the last ship (byte offset).
+
+        A log replaced under the offset (a rebuild, or a deleted log
+        built again from the tree) is shipped whole from its start, and a
+        line still being written is left for the next ship.
+        """
         if self.cache is None:
             return []
         from repro.lake.catalog import Catalog
@@ -125,11 +135,21 @@ class DistWorker:
         path = Catalog(root=self.cache.root).path
         try:
             with open(path, "rb") as fh:
-                fh.seek(self._catalog_offset)
+                st = os.fstat(fh.fileno())
+                file_id = (st.st_dev, st.st_ino)
+                tail = self._catalog_tail
+                fh.seek(self._catalog_offset - len(tail))
+                if file_id != self._catalog_file or fh.read(len(tail)) != tail:
+                    self._catalog_file = file_id
+                    self._catalog_offset, self._catalog_tail = 0, b""
+                    fh.seek(0)
                 data = fh.read()
-                self._catalog_offset = fh.tell()
         except OSError:
             return []
+        data = data[:data.rfind(b"\n") + 1]
+        if data:
+            self._catalog_offset += len(data)
+            self._catalog_tail = data[data.rfind(b"\n", 0, -1) + 1:]
         return [
             line for line in data.decode(errors="replace").splitlines() if line
         ]

@@ -11,6 +11,7 @@ from repro.sched.governor import FixedFrequencyGovernor, Governor
 from repro.sched.params import baseline_config
 from repro.sim.engine import SimConfig, Simulator
 from repro.sim.trace import Trace
+from repro.workloads.base import Metric
 from repro.workloads.spec import SpecBenchmark
 
 
@@ -96,3 +97,13 @@ def relative_change_pct(new: float, base: float) -> float:
     if base == 0:
         raise ZeroDivisionError("baseline value is zero")
     return 100.0 * (new - base) / base
+
+
+def perf_change_pct(metric: Metric, new: float, base: float) -> float:
+    """Performance change of ``new`` over ``base`` in percent, positive = better.
+
+    FPS apps report the FPS change; latency apps, where lower is better,
+    the negated latency increase.
+    """
+    change = relative_change_pct(new, base)
+    return -change if metric is Metric.LATENCY else change

@@ -22,8 +22,7 @@ from repro.core.report import render_table
 from repro.core.study import run_app
 from repro.platform.chip import exynos5422
 from repro.sched.cluster_switch import ClusterSwitchingScheduler
-from repro.experiments.common import relative_change_pct
-from repro.workloads.base import Metric
+from repro.experiments.common import perf_change_pct, relative_change_pct
 
 
 @dataclass
@@ -60,12 +59,7 @@ def run_cluster_switch_comparison(
         result.power_change_pct[app] = relative_change_pct(
             switching.avg_power_mw(), hmp.avg_power_mw()
         )
-        if hmp.metric is Metric.LATENCY:
-            result.perf_change_pct[app] = -relative_change_pct(
-                switching.latency_s(), hmp.latency_s()
-            )
-        else:
-            result.perf_change_pct[app] = relative_change_pct(
-                switching.avg_fps(), hmp.avg_fps()
-            )
+        result.perf_change_pct[app] = perf_change_pct(
+            hmp.metric, switching.performance_value(), hmp.performance_value()
+        )
     return result

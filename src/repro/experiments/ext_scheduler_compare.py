@@ -26,8 +26,7 @@ from repro.core.study import run_app
 from repro.platform.chip import exynos5422
 from repro.sched.efficiency_sched import EfficiencyScheduler
 from repro.sched.parallelism_sched import ParallelismAwareScheduler
-from repro.experiments.common import relative_change_pct
-from repro.workloads.base import Metric
+from repro.experiments.common import perf_change_pct, relative_change_pct
 from repro.workloads.mobile import MOBILE_APP_NAMES
 
 ALTERNATIVES = {
@@ -87,12 +86,7 @@ def run_scheduler_comparison(
             tables["power"][app] = relative_change_pct(
                 alt.avg_power_mw(), hmp.avg_power_mw()
             )
-            if hmp.metric is Metric.LATENCY:
-                tables["perf"][app] = -relative_change_pct(
-                    alt.latency_s(), hmp.latency_s()
-                )
-            else:
-                tables["perf"][app] = relative_change_pct(
-                    alt.avg_fps(), hmp.avg_fps()
-                )
+            tables["perf"][app] = perf_change_pct(
+                hmp.metric, alt.performance_value(), hmp.performance_value()
+            )
     return result

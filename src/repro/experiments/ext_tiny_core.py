@@ -34,8 +34,7 @@ from repro.platform.chip import ChipSpec, SCREEN_ON_MW, exynos5422
 from repro.platform.coretypes import ClusterSpec, CoreSpec, CoreType
 from repro.platform.opp import linear_voltage_table
 from repro.platform.power import CorePowerParams, PowerParams
-from repro.experiments.common import relative_change_pct
-from repro.workloads.base import Metric
+from repro.experiments.common import perf_change_pct, relative_change_pct
 from repro.workloads.mobile import MOBILE_APP_NAMES
 
 
@@ -107,12 +106,7 @@ def run_tiny_core(apps: list[str] | None = None, seed: int = 0) -> TinyCoreResul
         result.power_saving_pct[app] = -relative_change_pct(
             tiny_run.avg_power_mw(), base_run.avg_power_mw()
         )
-        if base_run.metric is Metric.LATENCY:
-            result.perf_change_pct[app] = -relative_change_pct(
-                tiny_run.latency_s(), base_run.latency_s()
-            )
-        else:
-            result.perf_change_pct[app] = relative_change_pct(
-                tiny_run.avg_fps(), base_run.avg_fps()
-            )
+        result.perf_change_pct[app] = perf_change_pct(
+            base_run.metric, tiny_run.performance_value(), base_run.performance_value()
+        )
     return result

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.report import render_table
-from repro.experiments.common import relative_change_pct
+from repro.experiments.common import perf_change_pct, relative_change_pct
 from repro.platform.chip import ChipSpec
 from repro.runner import BatchRunner, RunResult, RunSpec
 from repro.workloads.base import Metric
@@ -117,13 +117,9 @@ def run_core_config_sweep(
         result.perf_change_pct[app_name] = {}
         result.power_saving_pct[app_name] = {}
         for label, run in zip(labels, runs):
-            perf = run.performance_value()
-            if run.metric_enum is Metric.LATENCY:
-                # Lower latency is better: report the negated increase.
-                change = -relative_change_pct(perf, base_perf)
-            else:
-                change = relative_change_pct(perf, base_perf)
-            result.perf_change_pct[app_name][label] = change
+            result.perf_change_pct[app_name][label] = perf_change_pct(
+                run.metric_enum, run.performance_value(), base_perf
+            )
             result.power_saving_pct[app_name][label] = -relative_change_pct(
                 run.avg_power_mw, base_power
             )

@@ -40,6 +40,20 @@ __all__ = [
 ]
 
 
+def _stride_subsample(
+    points: Sequence[DesignPoint], max_points: Optional[int]
+) -> list[DesignPoint]:
+    """At most ``max_points`` of ``points``, taken at an even stride.
+
+    The stride keeps coverage spread across the grid order.
+    """
+    selected = list(points)
+    if max_points is not None and len(selected) > max_points:
+        step = len(selected) / max_points
+        selected = [selected[int(i * step)] for i in range(max_points)]
+    return selected
+
+
 @dataclass(frozen=True)
 class Evaluation:
     """A sampler's request: simulate ``point`` at ``fidelity``.
@@ -90,12 +104,9 @@ class GridSampler(Sampler):
         self._pending: Optional[list[Evaluation]] = None
 
     def start(self, points: Sequence[DesignPoint]) -> None:
-        selected = list(points)
-        if self.max_points is not None and len(selected) > self.max_points:
-            # Even stride keeps coverage spread across the grid order.
-            step = len(selected) / self.max_points
-            selected = [selected[int(i * step)] for i in range(self.max_points)]
-        self._pending = [Evaluation(p, 1.0) for p in selected]
+        self._pending = [
+            Evaluation(p, 1.0) for p in _stride_subsample(points, self.max_points)
+        ]
 
     def next_batch(self) -> list[Evaluation]:
         batch, self._pending = self._pending or [], []
@@ -185,10 +196,7 @@ class AdaptiveSampler(Sampler):
         self._awaiting: Optional[list[Evaluation]] = None
 
     def start(self, points: Sequence[DesignPoint]) -> None:
-        selected = list(points)
-        if self.max_points is not None and len(selected) > self.max_points:
-            step = len(selected) / self.max_points
-            selected = [selected[int(i * step)] for i in range(self.max_points)]
+        selected = _stride_subsample(points, self.max_points)
         self._initial = list(selected)
         self._candidates = list(selected)
         self._rung_index = 0

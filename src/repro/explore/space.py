@@ -350,7 +350,7 @@ class DesignSpace:
         return list(self.points())
 
     def manifest(self) -> dict[str, Any]:
-        """JSON description of the space (checkpoint/artifact header)."""
+        """JSON description of the space (the study artifact's header)."""
         axes = {
             name: [list(v) if isinstance(v, tuple) else v for v in values]
             for name, values in sorted(self.axes.items())

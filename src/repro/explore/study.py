@@ -8,15 +8,11 @@ few hundred bytes), runs through one :class:`~repro.runner.BatchRunner`
 (parallel, fault-tolerant, content-addressed-cached), and folds back
 into ``(perf_cost, energy_mj)`` minimization objectives.
 
-Crash-resume is layered:
-
-- the **result cache** replays any simulation whose spec hash was seen
-  before (same point, fidelity, seed — across studies and processes);
-- the optional **JSONL checkpoint** replays whole *evaluations* (point
-  x fidelity) without touching the runner at all.  Each line is keyed
-  by the hash of the evaluation's spec keys; the header line pins the
-  study identity (space key, horizon, seed, package version), and a
-  stale header quietly starts the file over.
+Crash-resume is the **result cache**: attach one to the runner and a
+re-run replays every simulation whose spec hash it has seen (same
+point, fidelity, seed — across studies and processes), so an
+interrupted study resumes where it stopped.  Only successes are cached,
+so a failed evaluation runs again.
 
 Progress rides on the global metrics registry: the ``explore.points``
 counter and the ``explore.frontier_size`` / ``explore.hypervolume``
@@ -25,9 +21,7 @@ gauges update after every batch.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -81,15 +75,10 @@ class EvaluatedPoint:
     spec_keys: list[str]
     #: Per-workload scalar summaries (metric value, power, energy).
     workloads: dict[str, dict[str, Any]] = field(default_factory=dict)
-    from_checkpoint: bool = False
 
     @property
     def is_full(self) -> bool:
         return self.fidelity >= 1.0
-
-
-def _eval_key(spec_keys: Sequence[str]) -> str:
-    return hashlib.sha256("|".join(spec_keys).encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -214,14 +203,12 @@ class ExploreStudy:
     Args:
         space: the feasible region to search.
         sampler: batch strategy (grid / random / adaptive).
-        runner: a configured :class:`BatchRunner`; attach a cache for
-            cross-study resumability.
+        runner: a configured :class:`BatchRunner`; attach a cache to
+            make the study resumable.
         full_horizon_s: simulated seconds of a fidelity-1.0 run; a
             rung's horizon is ``fidelity * full_horizon_s`` (floored at
             0.1 s so every run simulates something).
         seed: RNG seed shared by every lowered spec.
-        checkpoint_path: optional JSONL evaluation journal for
-            runner-free resume.
     """
 
     def __init__(
@@ -231,7 +218,6 @@ class ExploreStudy:
         runner: Optional[BatchRunner] = None,
         full_horizon_s: float = 8.0,
         seed: int = 0,
-        checkpoint_path: Optional[str] = None,
     ):
         if full_horizon_s <= 0:
             raise ValueError(f"full_horizon_s must be positive, got {full_horizon_s}")
@@ -244,61 +230,6 @@ class ExploreStudy:
         )
         self.full_horizon_s = full_horizon_s
         self.seed = seed
-        self.checkpoint_path = checkpoint_path
-
-    # -- checkpointing -------------------------------------------------------
-
-    def _study_header(self) -> dict[str, Any]:
-        return {
-            "type": "study",
-            "version": repro.__version__,
-            "space_key": self.space.key(),
-            "full_horizon_s": self.full_horizon_s,
-            "seed": self.seed,
-        }
-
-    def _load_checkpoint(self) -> dict[str, dict[str, Any]]:
-        """Replayable evaluation records keyed by spec-hash eval key.
-
-        A missing file, an unreadable line, or a header minted by a
-        different study/space/version yields an empty map — the study
-        then rebuilds the file from scratch.
-        """
-        path = self.checkpoint_path
-        if not path or not os.path.isfile(path):
-            return {}
-        header = self._study_header()
-        records: dict[str, dict[str, Any]] = {}
-        try:
-            with open(path) as fh:
-                first = fh.readline()
-                if not first or json.loads(first) != header:
-                    log.warning(
-                        "checkpoint %s belongs to a different study; starting over",
-                        path,
-                    )
-                    return {}
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    if rec.get("type") == "eval" and "key" in rec:
-                        records[rec["key"]] = rec
-        except (OSError, ValueError):
-            log.warning("checkpoint %s is unreadable; starting over", path)
-            return {}
-        return records
-
-    def _open_checkpoint(self, resumed: dict[str, dict[str, Any]]):
-        if not self.checkpoint_path:
-            return None
-        mode = "a" if resumed else "w"
-        fh = open(self.checkpoint_path, mode)
-        if not resumed:
-            fh.write(json.dumps(self._study_header(), sort_keys=True) + "\n")
-            fh.flush()
-        return fh
 
     # -- execution -----------------------------------------------------------
 
@@ -306,51 +237,26 @@ class ExploreStudy:
         return max(0.1, round(self.full_horizon_s * fidelity, 3))
 
     def _evaluate_batch(
-        self,
-        batch: Sequence[Evaluation],
-        replay: dict[str, dict[str, Any]],
-        checkpoint_fh,
+        self, batch: Sequence[Evaluation]
     ) -> tuple[list[EvaluatedPoint], int, int]:
         """Run one sampler batch; returns (evaluations, hits, misses)."""
-        lowered: list[tuple[Evaluation, list, str]] = []
-        for ev in batch:
-            specs = lower_point(
+        lowered = [
+            (ev, lower_point(
                 ev.point, max_seconds=self._horizon(ev.fidelity), seed=self.seed
-            )
-            lowered.append((ev, specs, _eval_key([s.key() for s in specs])))
-
-        to_run = [(ev, specs, key) for ev, specs, key in lowered if key not in replay]
-        flat_specs = [s for _, specs, _ in to_run for s in specs]
-        results: list[Optional[RunResult]] = []
-        hits = misses = 0
-        if flat_specs:
-            report = self.runner.run(flat_specs)
-            results = report.results
-            hits, misses = report.cache_hits, report.cache_misses
-
+            ))
+            for ev in batch
+        ]
+        report = self.runner.run([s for _, specs in lowered for s in specs])
         evaluations: list[EvaluatedPoint] = []
         cursor = 0
-        fresh = {key: None for _, _, key in to_run}
-        for ev, specs, key in lowered:
-            if key in replay and key not in fresh:
-                rec = replay[key]
-                evaluations.append(EvaluatedPoint(
-                    point=ev.point,
-                    fidelity=ev.fidelity,
-                    objectives=tuple(rec["objectives"]) if rec["objectives"] else None,
-                    spec_keys=list(rec["spec_keys"]),
-                    workloads=rec.get("workloads", {}),
-                    from_checkpoint=True,
-                ))
-                continue
-            chunk = results[cursor:cursor + len(specs)]
+        for ev, specs in lowered:
+            chunk = report.results[cursor:cursor + len(specs)]
             cursor += len(specs)
             ok = [r for r in chunk if r is not None]
-            objectives = point_objectives(ok) if len(ok) == len(specs) else None
-            evaluated = EvaluatedPoint(
+            evaluations.append(EvaluatedPoint(
                 point=ev.point,
                 fidelity=ev.fidelity,
-                objectives=objectives,
+                objectives=point_objectives(ok) if len(ok) == len(specs) else None,
                 spec_keys=[s.key() for s in specs],
                 workloads={
                     r.workload: {
@@ -361,22 +267,8 @@ class ExploreStudy:
                     }
                     for r in ok
                 },
-            )
-            evaluations.append(evaluated)
-            rec = {
-                "type": "eval",
-                "key": key,
-                "point": ev.point.as_dict(),
-                "fidelity": ev.fidelity,
-                "objectives": list(objectives) if objectives else None,
-                "spec_keys": evaluated.spec_keys,
-                "workloads": evaluated.workloads,
-            }
-            replay[key] = rec
-            if checkpoint_fh is not None:
-                checkpoint_fh.write(json.dumps(rec, sort_keys=True) + "\n")
-                checkpoint_fh.flush()
-        return evaluations, hits, misses
+            ))
+        return evaluations, report.cache_hits, report.cache_misses
 
     def run(self) -> StudyResult:
         import time
@@ -388,49 +280,41 @@ class ExploreStudy:
             "explore: %d feasible points (%d cartesian), sampler=%s, horizon=%.2fs",
             len(points), self.space.size(), self.sampler.name, self.full_horizon_s,
         )
-        replay = self._load_checkpoint()
-        checkpoint_fh = self._open_checkpoint(replay)
         reg = global_metrics()
         evaluations: list[EvaluatedPoint] = []
         cache_hits = cache_misses = 0
         t0 = time.monotonic()
-        try:
-            self.sampler.start(points)
-            while True:
-                batch = self.sampler.next_batch()
-                if not batch:
-                    break
-                batch_evals, hits, misses = self._evaluate_batch(
-                    batch, replay, checkpoint_fh
+        self.sampler.start(points)
+        while True:
+            batch = self.sampler.next_batch()
+            if not batch:
+                break
+            batch_evals, hits, misses = self._evaluate_batch(batch)
+            cache_hits += hits
+            cache_misses += misses
+            evaluations.extend(batch_evals)
+            self.sampler.observe([
+                ObservedPoint(
+                    evaluation=Evaluation(e.point, e.fidelity),
+                    objectives=e.objectives,
                 )
-                cache_hits += hits
-                cache_misses += misses
-                evaluations.extend(batch_evals)
-                self.sampler.observe([
-                    ObservedPoint(
-                        evaluation=Evaluation(e.point, e.fidelity),
-                        objectives=e.objectives,
-                    )
-                    for e in batch_evals
-                ])
-                reg.counter("explore.points").inc(len(batch_evals))
-                full = [
-                    e.objectives
-                    for e in evaluations
-                    if e.is_full and e.objectives is not None
-                ]
-                frontier_size = len(pareto_indices(full)) if full else 0
-                hv = hypervolume(full, reference_point(full)) if full else 0.0
-                reg.gauge("explore.frontier_size").set(frontier_size)
-                reg.gauge("explore.hypervolume").set(hv)
-                log.info(
-                    "explore: batch of %d done (%d evals total, "
-                    "frontier %d, hv %.4g)",
-                    len(batch), len(evaluations), frontier_size, hv,
-                )
-        finally:
-            if checkpoint_fh is not None:
-                checkpoint_fh.close()
+                for e in batch_evals
+            ])
+            reg.counter("explore.points").inc(len(batch_evals))
+            full = [
+                e.objectives
+                for e in evaluations
+                if e.is_full and e.objectives is not None
+            ]
+            frontier_size = len(pareto_indices(full)) if full else 0
+            hv = hypervolume(full, reference_point(full)) if full else 0.0
+            reg.gauge("explore.frontier_size").set(frontier_size)
+            reg.gauge("explore.hypervolume").set(hv)
+            log.info(
+                "explore: batch of %d done (%d evals total, "
+                "frontier %d, hv %.4g)",
+                len(batch), len(evaluations), frontier_size, hv,
+            )
         return StudyResult(
             space=self.space,
             sampler_name=self.sampler.name,

@@ -34,7 +34,9 @@ Incremental maintenance happens inside
 :meth:`repro.runner.cache.ResultCache.store` / ``evict`` via
 :meth:`Catalog.append_store` / :meth:`Catalog.append_evict`; both are
 best-effort — an unwritable catalog degrades to rebuild-on-read, never
-to a failed run.
+to a failed run.  A write to a root with no log builds the log from the
+tree first (the tree already shows the change), so the log and a scan
+hold the same entries after any sequence of stores and evictions.
 """
 
 from __future__ import annotations
@@ -244,31 +246,47 @@ class Catalog:
 
     # -- incremental writes ------------------------------------------------
 
-    def _append(self, record: dict[str, Any]) -> bool:
-        """Append one log line; best-effort (returns False on I/O error).
+    def _write_lines(self, lines: list[str]) -> None:
+        """Append ``lines`` with one ``os.write`` on an ``O_APPEND`` fd.
 
-        The line is written with one ``os.write`` on an ``O_APPEND`` fd:
-        POSIX guarantees the seek+write is atomic, so concurrent writers
-        (pool workers, distributed workers sharing a cache root) can
-        never interleave bytes mid-line.
+        POSIX makes the seek+write atomic, so concurrent writers (pool
+        workers, distributed workers sharing a cache root) never
+        interleave bytes mid-line.
         """
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            os.write(fd, ("\n".join(lines) + "\n").encode())
+        finally:
+            os.close(fd)
+
+    def _append(self, record: dict[str, Any]) -> bool:
+        """Append one log line; best-effort (returns False on I/O error)."""
         record = {"schema": CATALOG_SCHEMA_VERSION, **record}
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         try:
-            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-            fd = os.open(
-                self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-            try:
-                os.write(fd, (line + "\n").encode())
-            finally:
-                os.close(fd)
+            self._write_lines([line])
         except OSError as exc:
             global_metrics().counter("lake.catalog.append_errors").inc()
             log.warning("catalog append to %s failed: %s", self.path, exc)
             return False
         global_metrics().counter("lake.catalog.appends").inc()
         return True
+
+    def _log_change(self, record: dict[str, Any]) -> bool:
+        """Log a store or evict the cache tree already shows; best-effort.
+
+        A missing log is built from the tree instead: a log begun with
+        this one line would hide every entry stored before it.
+        """
+        try:
+            if not self.exists() and self._write_log(self.scan(), exclusive=True):
+                return True
+        except OSError as exc:
+            global_metrics().counter("lake.catalog.append_errors").inc()
+            log.warning("catalog build at %s failed: %s", self.path, exc)
+            return False
+        return self._append(record)
 
     def append_store(
         self,
@@ -279,7 +297,7 @@ class Catalog:
     ) -> bool:
         """Index one just-stored cache entry (called by ``ResultCache.store``)."""
         entry = CatalogEntry.from_result_payload(version, spec_key, payload, nbytes)
-        return self._append({
+        return self._log_change({
             "op": "store",
             "version": version,
             "spec_key": spec_key,
@@ -288,7 +306,7 @@ class Catalog:
 
     def append_evict(self, version: str, spec_key: str) -> bool:
         """Record an eviction (called by ``ResultCache.evict``)."""
-        return self._append({
+        return self._log_change({
             "op": "evict", "version": version, "spec_key": spec_key,
         })
 
@@ -379,13 +397,17 @@ class Catalog:
                 ))
         return entries
 
-    def rebuild(self) -> list[CatalogEntry]:
-        """Rescan the cache tree and atomically rewrite the log (compaction)."""
-        entries = self.scan()
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            prefix=".catalog-", dir=os.path.dirname(self.path) or "."
-        )
+    def _write_log(self, entries: list[CatalogEntry], exclusive: bool) -> bool:
+        """Publish ``entries`` as the whole log, through a temp file.
+
+        ``exclusive`` links the file into place only if no log exists
+        (returns False when a concurrent writer created one first);
+        otherwise the old log is atomically replaced.  Either way no
+        reader or appender ever sees a half-written log.
+        """
+        directory = os.path.dirname(self.path) or "."
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=".catalog-", dir=directory)
         try:
             with os.fdopen(fd, "w") as fh:
                 for entry in entries:
@@ -396,13 +418,24 @@ class Catalog:
                         "spec_key": entry.spec_key,
                         "entry": entry.to_record(),
                     }, sort_keys=True, separators=(",", ":")) + "\n")
-            os.replace(tmp, self.path)
-        except BaseException:
+            if not exclusive:
+                os.replace(tmp, self.path)
+                return True
+            try:
+                os.link(tmp, self.path)
+            except FileExistsError:
+                return False
+            return True
+        finally:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
-            raise
+
+    def rebuild(self) -> list[CatalogEntry]:
+        """Rescan the cache tree and atomically rewrite the log (compaction)."""
+        entries = self.scan()
+        self._write_log(entries, exclusive=False)
         global_metrics().counter("lake.catalog.rebuilds").inc()
         return entries
 
@@ -426,16 +459,11 @@ class Catalog:
                 json.dumps(record, sort_keys=True, separators=(",", ":"))
             )
         if lines:
-            # One O_APPEND write for the whole delta: atomic against
-            # concurrent appenders, same as ``_append``.
-            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-            fd = os.open(
-                self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-            try:
-                os.write(fd, ("\n".join(lines) + "\n").encode())
-            finally:
-                os.close(fd)
+            # Index the local tree first, so the merged lines never
+            # start a log that hides it.
+            if not self.exists():
+                self._write_log(self.scan(), exclusive=True)
+            self._write_lines(lines)
         return len(lines)
 
     # -- summaries ---------------------------------------------------------

@@ -23,8 +23,9 @@ scalars alone.  :meth:`ResultCache.prune_versions` (``biglittle cache
 
 Every ``store``/``evict`` also appends a record to the lake catalog
 (``<root>/catalog.jsonl``, see :mod:`repro.lake.catalog`), keeping the
-cross-run index current without a scan; the append is best-effort and a
-stale catalog is always rebuildable from the entries themselves.
+cross-run index current without a scan; a root with no catalog gets one
+built from its entries instead.  The append is best-effort and a stale
+catalog is always rebuildable from the entries themselves.
 
 Keying by spec hash *and* package version means a version bump
 invalidates every entry wholesale — simulation semantics may have

@@ -232,7 +232,7 @@ class TestExploreCommand:
         args = build_parser().parse_args([
             "explore", "--workloads", "browser", "--axis", "big_cores=0,2",
             "--sampler", "grid", "--horizon", "2.0", "--area-mm2", "18",
-            "--max-points", "16", "--checkpoint", "c.jsonl", "--json", "f.json",
+            "--max-points", "16", "--json", "f.json",
         ])
         assert args.command == "explore"
         assert args.axis == ["big_cores=0,2"]

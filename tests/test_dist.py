@@ -403,3 +403,41 @@ def test_worker_local_cache_answers_without_executing(tmp_path):
     assert stats["dist.worker_cache_hits"] == 2
     for spec, result in zip(specs, report.results):
         assert result.scalars() == cache.load(spec).scalars()
+
+
+def test_worker_catalog_delta_survives_a_replaced_log(tmp_path):
+    """Byte-offset shipping restarts on a rebuilt log and skips torn lines."""
+    import json
+
+    from repro.lake.catalog import Catalog
+
+    cache = ResultCache(root=str(tmp_path))
+    catalog = Catalog(root=cache.root)
+    worker = DistWorker("tcp://127.0.0.1:1", cache=cache)
+    specs = [_sim_spec(s) for s in (1, 2, 3)]
+    result = execute_spec(specs[0])
+
+    cache.store(specs[0], result)
+    assert len(worker._catalog_delta()) == 1
+    cache.store(specs[1], result)
+    assert [json.loads(line)["spec_key"] for line in worker._catalog_delta()] == [
+        specs[1].key()
+    ]
+    assert worker._catalog_delta() == []
+
+    # A compaction replaces the file: the whole new log ships, one
+    # parseable line per entry, nothing skipped.
+    cache.evict(specs[0])
+    catalog.rebuild()
+    cache.store(specs[2], result)
+    shipped = [json.loads(line) for line in worker._catalog_delta()]
+    assert {r["spec_key"] for r in shipped} == {specs[1].key(), specs[2].key()}
+
+    # A line still being written waits for its newline.
+    record = json.dumps({"schema": 1, "op": "evict", "version": "x", "spec_key": "y"})
+    with open(catalog.path, "a") as fh:
+        fh.write(record[:10])
+    assert worker._catalog_delta() == []
+    with open(catalog.path, "a") as fh:
+        fh.write(record[10:] + "\n")
+    assert worker._catalog_delta() == [record]

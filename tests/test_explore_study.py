@@ -9,7 +9,9 @@ on-disk cache, then every test inspects those results:
 - re-running the identical study resolves 100% from the result cache;
 - the adaptive sampler lands within 5% of the grid-search hypervolume
   while spending at most 35% of the grid's full-horizon simulations;
-- the JSONL checkpoint replays evaluations without touching the runner.
+- a study interrupted after its first batch resumes from the cache:
+  the re-run matches an uninterrupted run and hits on exactly the
+  simulations the first batch ran.
 """
 
 from __future__ import annotations
@@ -163,46 +165,56 @@ class TestAdaptiveSampler:
         )
 
 
-class TestCheckpoint:
-    SPACE_AXES = {"big_cores": (0, 2), "workloads": (("browser",),)}
+class _Interrupted(Exception):
+    pass
 
-    def _study(self, cache_root, checkpoint, seed=0):
+
+class _StopsAfterFirstBatch(AdaptiveSampler):
+    """Adaptive search that dies asking for its second batch."""
+
+    first_batch = None
+
+    def next_batch(self):
+        if self.first_batch is not None:
+            raise _Interrupted
+        self.first_batch = super().next_batch()
+        return self.first_batch
+
+
+class TestInterruptedResume:
+    AXES = {
+        "little_cores": (2, 4), "big_cores": (0, 2), "workloads": (("browser",),),
+    }
+
+    def _study(self, cache_root, sampler):
         return ExploreStudy(
-            DesignSpace(self.SPACE_AXES),
-            GridSampler(),
+            DesignSpace(self.AXES),
+            sampler,
             runner=_runner(cache_root),
             full_horizon_s=0.5,
-            seed=seed,
-            checkpoint_path=str(checkpoint),
+            seed=3,
         )
 
-    def test_resume_replays_without_the_runner(self, cache_root, tmp_path):
-        ckpt = tmp_path / "study.jsonl"
-        first = self._study(cache_root, ckpt).run()
-        assert not any(e.from_checkpoint for e in first.evaluations)
+    def test_rerun_resumes_from_the_cache(self, tmp_path):
+        interrupted = _StopsAfterFirstBatch()
+        with pytest.raises(_Interrupted):
+            self._study(tmp_path / "resumed", interrupted).run()
+        resumed = self._study(tmp_path / "resumed", AdaptiveSampler()).run()
+        uninterrupted = self._study(tmp_path / "cold", AdaptiveSampler()).run()
 
-        resumed = self._study(cache_root, ckpt).run()
-        assert all(e.from_checkpoint for e in resumed.evaluations)
-        # The runner never saw a spec — not even cache hits.
-        assert resumed.cache_hits == 0 and resumed.cache_misses == 0
-        assert [e.objectives for e in resumed.evaluations] == [
-            e.objectives for e in first.evaluations
-        ]
+        def evaluations(result):
+            return [
+                (e.point.key(), e.fidelity, e.objectives) for e in result.evaluations
+            ]
 
-    def test_stale_header_starts_over(self, cache_root, tmp_path):
-        ckpt = tmp_path / "study.jsonl"
-        self._study(cache_root, ckpt, seed=0).run()
-        other = self._study(cache_root, ckpt, seed=1).run()
-        assert not any(e.from_checkpoint for e in other.evaluations)
-
-    def test_corrupt_checkpoint_is_ignored(self, cache_root, tmp_path):
-        ckpt = tmp_path / "study.jsonl"
-        ckpt.write_text("not json\n")
-        result = self._study(cache_root, ckpt).run()
-        assert not any(e.from_checkpoint for e in result.evaluations)
-        # The file was rebuilt with a valid header.
-        header = json.loads(ckpt.read_text().splitlines()[0])
-        assert header["type"] == "study"
+        assert evaluations(resumed) == evaluations(uninterrupted)
+        first_batch_specs = sum(
+            len(e.spec_keys)
+            for e in resumed.evaluations[:len(interrupted.first_batch)]
+        )
+        assert first_batch_specs > 0
+        assert resumed.cache_hits == first_batch_specs
+        assert resumed.cache_misses == uninterrupted.cache_misses - first_batch_specs
 
 
 class TestPointObjectives:

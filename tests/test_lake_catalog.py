@@ -154,6 +154,42 @@ class TestCatalog:
         assert not catalog.exists()
         assert [e.version for e in catalog.load()] == ["1.3.0"]
 
+    @staticmethod
+    def _drop_log_between_stores(root: str) -> tuple[ResultCache, list[RunSpec]]:
+        """Store two entries, then delete the log the stores wrote."""
+        cache = ResultCache(root=root)
+        specs = [
+            RunSpec("browser", seed=seed, max_seconds=1.0, trace_policy="none")
+            for seed in (1, 2, 3)
+        ]
+        result = execute_spec(specs[0])
+        for spec in specs[:2]:
+            cache.store(spec, result)
+        os.remove(Catalog(root=root).path)
+        return cache, specs
+
+    @staticmethod
+    def _keys(entries):
+        return {(e.version, e.spec_key) for e in entries}
+
+    def test_store_into_missing_log_indexes_the_tree(self, tmp_path):
+        root = str(tmp_path)
+        cache, specs = self._drop_log_between_stores(root)
+        cache.store(specs[2], execute_spec(specs[2]))
+        catalog = Catalog(root=root)
+        assert catalog.exists()
+        assert len(catalog.load()) == 3
+        assert self._keys(catalog.load()) == self._keys(catalog.scan())
+
+    def test_evict_into_missing_log_indexes_the_tree(self, tmp_path):
+        root = str(tmp_path)
+        cache, specs = self._drop_log_between_stores(root)
+        cache.evict(specs[0])
+        catalog = Catalog(root=root)
+        assert catalog.exists()
+        assert self._keys(catalog.load()) == {(cache.version, specs[1].key())}
+        assert self._keys(catalog.load()) == self._keys(catalog.scan())
+
     def test_merge_from_other_catalog(self, lake_root, tmp_path):
         other_cache = ResultCache(root=str(tmp_path))
         spec = RunSpec("browser", seed=42, max_seconds=1.0, trace_policy="none")
