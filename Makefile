@@ -13,9 +13,9 @@ claims:
 	PYTHONPATH=src python -m pytest -m claims
 
 # Distributed execution smoke: 2 localhost TCP workers, results must be
-# identical to the local process-pool backend, merged catalog exported.
+# identical to the local process-pool backend, catalog exported.
 dist-smoke:
-	PYTHONPATH=src python scripts/dist_smoke.py --out-catalog merged-catalog.jsonl
+	PYTHONPATH=src python scripts/dist_smoke.py --out-catalog dist-catalog.jsonl
 
 # Regenerate every paper table/figure into results/.
 artifacts:

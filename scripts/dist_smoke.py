@@ -4,21 +4,23 @@
 Spawns two real ``biglittle worker`` subprocesses on localhost TCP, runs
 a small mixed-policy sweep through the coordinator, and asserts the
 results are **identical** to the local process-pool backend — scalars
-exactly equal, RLE traces bit-equal after materialization.  Along the
-way it checks the shared-store plumbing: each worker stores into its
-own cache, ships its lake catalog delta home, and the coordinator's
-merged catalog must index every simulated spec.
+exactly equal, RLE traces bit-equal after materialization.  The
+distributed batch runs through a runner whose cache is the lake root,
+and the workers keep no cache, so that runner's catalog must index each
+spec exactly once: the catalog log, a tree scan and the spec keys agree,
+with one ``store`` line per spec.
 
 Usage::
 
-    PYTHONPATH=src python scripts/dist_smoke.py --out-catalog merged-catalog.jsonl
+    PYTHONPATH=src python scripts/dist_smoke.py --out-catalog dist-catalog.jsonl
 
-Exit status 0 on success; any mismatch or missing catalog entry fails.
+Exit status 0 on success; any mismatch or catalog disagreement fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -37,8 +39,8 @@ SIM_SECONDS = 1.0
 def _specs():
     from repro.runner import RunSpec
 
-    # Mixed trace policies: "rle" exercises the binary blob path and
-    # worker-side cache storage; "none" the scalars-only fast path.
+    # Mixed trace policies: "rle" exercises the binary blob path and the
+    # runner's trace storage; "none" the scalars-only fast path.
     specs = [
         RunSpec("pdf-reader", seed=seed, max_seconds=SIM_SECONDS,
                 trace_policy="rle")
@@ -52,15 +54,14 @@ def _specs():
     return specs
 
 
-def _spawn_worker(endpoint: str, cache_dir: str, idx: int) -> subprocess.Popen:
+def _spawn_worker(endpoint: str, idx: int) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH")) if p
     )
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "worker",
-         "--connect", endpoint, "--cache-dir", cache_dir,
-         "--id", f"smoke-w{idx}"],
+         "--connect", endpoint, "--id", f"smoke-w{idx}"],
         cwd=REPO_ROOT, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
@@ -69,12 +70,12 @@ def _spawn_worker(endpoint: str, cache_dir: str, idx: int) -> subprocess.Popen:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-catalog", metavar="PATH", default=None,
-                        help="copy the merged lake catalog here (CI artifact)")
+                        help="copy the lake catalog here (CI artifact)")
     args = parser.parse_args(argv)
 
     from repro.dist import Coordinator, DistExecutor
     from repro.lake.catalog import Catalog
-    from repro.runner import BatchRunner
+    from repro.runner import BatchRunner, ResultCache
 
     specs = _specs()
 
@@ -88,18 +89,17 @@ def main(argv=None) -> int:
 
     scratch = tempfile.mkdtemp(prefix="dist-smoke-")
     lake_root = os.path.join(scratch, "lake")
-    coord = Coordinator(cache_root=lake_root).start()
-    procs = [
-        _spawn_worker(coord.endpoint, os.path.join(scratch, f"wcache{i}"), i)
-        for i in range(N_WORKERS)
-    ]
+    coord = Coordinator().start()
+    procs = [_spawn_worker(coord.endpoint, i) for i in range(N_WORKERS)]
     try:
         connected = coord.wait_for_workers(N_WORKERS, timeout_s=60)
         if connected < N_WORKERS:
             print(f"FAIL: only {connected}/{N_WORKERS} workers connected")
             return 1
         t0 = time.monotonic()
-        dist = BatchRunner(executor=DistExecutor(coord)).run(specs)
+        dist = BatchRunner(
+            cache=ResultCache(root=lake_root), executor=DistExecutor(coord)
+        ).run(specs)
         dist.raise_on_failure()
         print(f"  distributed backend: {time.monotonic() - t0:.2f}s "
               f"({dist.transport_bytes} transport bytes)")
@@ -133,21 +133,27 @@ def main(argv=None) -> int:
         print(f"  identical: {label} ({spec.trace_policy})")
 
     catalog = Catalog(root=lake_root)
-    entries = catalog.load() if catalog.exists() else []
-    indexed = {e.spec_key for e in entries}
     expected = {s.key() for s in specs}
-    missing = expected - indexed
-    print(f"  merged catalog: {len(entries)} entries "
-          f"({stats.get('dist.catalog_lines_merged', 0)} lines shipped)")
-    if missing:
-        print(f"FAIL: {len(missing)} specs missing from merged catalog")
+    logged = {e.spec_key for e in catalog.load()}
+    scanned = {e.spec_key for e in catalog.scan()}
+    print(f"  catalog: {len(logged)} logged, {len(scanned)} scanned, "
+          f"{len(expected)} specs")
+    if not logged == scanned == expected:
+        print("FAIL: catalog log, tree scan and spec keys disagree")
+        failures += 1
+    ops = []
+    if catalog.exists():
+        with open(catalog.path) as fh:
+            ops = [json.loads(line)["op"] for line in fh if line.strip()]
+    if ops != ["store"] * len(specs):
+        print(f"FAIL: expected one store line per spec, got {ops}")
         failures += 1
     if args.out_catalog:
         if catalog.exists():
             shutil.copyfile(catalog.path, args.out_catalog)
             print(f"  catalog artifact -> {args.out_catalog}")
         else:
-            print("FAIL: no merged catalog to export")
+            print("FAIL: no catalog to export")
             failures += 1
 
     shutil.rmtree(scratch, ignore_errors=True)

@@ -226,16 +226,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     """Serve distributed sweep jobs pulled from a coordinator."""
     from repro.dist import run_worker
-    from repro.runner import ResultCache
 
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(root=args.cache_dir)
     jobs = run_worker(
-        args.connect,
-        cache=cache,
-        worker_id=args.id,
-        connect_timeout_s=args.connect_timeout,
+        args.connect, worker_id=args.id, connect_timeout_s=args.connect_timeout
     )
     log.info("worker session over: %d job(s) served", jobs)
     return 0
@@ -356,9 +349,6 @@ def _cmd_lake_index(args: argparse.Namespace) -> int:
     from repro.lake import Catalog
 
     catalog = Catalog(root=args.cache_dir)
-    if args.merge:
-        appended = catalog.merge_from(args.merge)
-        log.info("merged %d catalog lines from %s", appended, args.merge)
     entries = catalog.rebuild()
     versions = sorted({e.version for e in entries})
     print(
@@ -545,12 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument("--connect", required=True, metavar="tcp://HOST:PORT",
                           help="coordinator endpoint to pull jobs from")
-    p_worker.add_argument("--cache-dir", default=None,
-                          help="local result-cache root; cached specs are "
-                               "answered without re-simulating and catalog "
-                               "deltas ship back to the coordinator")
-    p_worker.add_argument("--no-cache", action="store_true",
-                          help="disable the local result cache")
     p_worker.add_argument("--id", default=None,
                           help="worker id shown in coordinator logs "
                                "(default: host-pid)")
@@ -622,9 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_idx.add_argument("--cache-dir", default=None,
                        help="result-cache root (default: ~/.cache/repro-runner)")
-    p_idx.add_argument("--merge", metavar="PATH", default=None,
-                       help="first append another catalog.jsonl (e.g. from a "
-                            "remote worker) into this one")
     p_idx.set_defaults(func=_cmd_lake_index)
 
     p_query = lake_sub.add_parser(

@@ -1,11 +1,11 @@
 """``repro.dist`` — distributed sweep execution over TCP workers.
 
-The execution half of the distributed story (the trace lake's
-merge-by-concatenation catalog is the collection half): a
-:class:`Coordinator` shards a sweep's execution groups across
+A :class:`Coordinator` shards a sweep's execution groups across
 ``biglittle worker`` processes over a length-prefixed JSON+blob
 protocol, with heartbeats, per-job deadlines, worker-death requeue, and
-global dedup keyed by spec content hash + ``repro.__version__``.
+dedup of in-flight jobs keyed by spec content hash +
+``repro.__version__``.  Workers keep no state: the submitting runner's
+cache is the batch's only store, and its catalog the only index.
 
 Quickstart (two shells)::
 
@@ -22,7 +22,7 @@ concurrent submissions execute once::
     from repro.dist import Coordinator, DistExecutor
     from repro.runner import BatchRunner
 
-    with Coordinator(cache_root=cache.root).start() as coord:
+    with Coordinator().start() as coord:
         coord.wait_for_workers(4)
         report = BatchRunner(
             cache=cache, cohorts=True, executor=DistExecutor(coord)
@@ -37,7 +37,6 @@ from repro.dist.coordinator import (
 )
 from repro.dist.executor import DistExecutor
 from repro.dist.protocol import (
-    PROTOCOL_VERSION,
     ProtocolError,
     decode_results,
     encode_results,
@@ -51,7 +50,6 @@ __all__ = [
     "DistExecutor",
     "DistJobError",
     "DistWorker",
-    "PROTOCOL_VERSION",
     "ProtocolError",
     "WorkerDied",
     "decode_results",

@@ -18,9 +18,10 @@ Global dedup: a job whose dedup key (single spec's content key, or the
 hash of a cohort's member keys) is already **in flight** attaches to
 the existing job as a subscriber — two runners submitting the same
 sweep concurrently execute it exactly once (``dist.dedup_*`` counters).
-A spec already **cached** anywhere is caught either by the submitting
-runner's cache check or by the executing worker's local cache
-(``dist.worker_cache_hits``), both keyed identically.
+A spec already **cached** is caught by the submitting runner's cache
+check before it is submitted; that runner stores every result that
+comes back, so its cache and catalog are the batch's only store and
+index.  Workers keep neither.
 
 Failure semantics:
 
@@ -35,18 +36,15 @@ Failure semantics:
   connection closed and the job fails as a :class:`JobTimeout`
   (``dist.worker_timeouts``) — deliberately *not* requeued, because the
   job itself is the prime suspect;
-- workers ship their lake catalog deltas home after each stored result;
-  the coordinator folds them into its cache root's catalog through
-  :meth:`repro.lake.catalog.Catalog.merge_from`.
+- a worker that sends a frame the protocol does not expect mid-job is
+  dropped like a lost one and its job requeued.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import select
 import socket
-import tempfile
 import threading
 import time
 from collections import deque
@@ -132,14 +130,12 @@ class Coordinator:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        cache_root: Optional[str] = None,
         heartbeat_s: float = 2.0,
         job_grace_s: float = 15.0,
         max_requeues: int = 2,
     ):
         self.host = host
         self.port = port
-        self.cache_root = cache_root
         self.heartbeat_s = heartbeat_s
         #: Slack added to a job's worker-side alarm budget before the
         #: coordinator declares the worker wedged.
@@ -154,7 +150,6 @@ class Coordinator:
         self._closed = False
         self._listener: Optional[socket.socket] = None
         self._threads: list[threading.Thread] = []
-        self._catalog_lock = threading.Lock()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -439,19 +434,16 @@ class Coordinator:
             # worker that died between jobs is unregistered promptly.
             readable, _, _ = select.select([worker.conn], [], [], 0)
             if readable:
-                self._consume(worker, blob_ok=False)
+                self._consume(worker)
 
-    def _consume(self, worker: _WorkerState, blob_ok: bool) -> tuple[dict, bytes]:
-        """Read one frame from the worker, handling housekeeping types."""
+    def _consume(self, worker: _WorkerState) -> tuple[dict, bytes]:
+        """Read one frame from the worker and note it as a sign of life."""
         try:
             msg, blob = recv_frame(worker.conn)
         except (ConnectionError, OSError) as exc:
             raise _WorkerLost(str(exc)) from None
         worker.last_seen = time.monotonic()
         self._count("dist.bytes_in", int(msg.get("_nbytes") or 0))
-        if msg["type"] == "catalog":
-            self._merge_catalog(msg.get("lines") or [])
-            return {"type": "ping"}, b""
         return msg, blob
 
     def _dispatch(self, worker: _WorkerState, job: _DistJob) -> None:
@@ -502,7 +494,7 @@ class Coordinator:
             readable, _, _ = select.select([worker.conn], [], [], max(wait_s, 0.05))
             if not readable:
                 continue
-            msg, blob = self._consume(worker, blob_ok=True)
+            msg, blob = self._consume(worker)
             mtype = msg["type"]
             if mtype == "ping":
                 continue
@@ -512,9 +504,6 @@ class Coordinator:
                         f"result for job {msg.get('job_id')} while "
                         f"{job.job_id} was outstanding"
                     )
-                self._count(
-                    "dist.worker_cache_hits", int(msg.get("cache_hits") or 0)
-                )
                 results = decode_results(msg["results"], blob)
                 expected = [s.key() for s in job.specs]
                 got = [r.spec_key for r in results]
@@ -539,38 +528,6 @@ class Coordinator:
                 self._complete(job, error=error)
                 return
             raise ProtocolError(f"unexpected message {mtype!r} mid-job")
-
-    # -- catalog sync -------------------------------------------------------
-
-    def _merge_catalog(self, lines: list[str]) -> None:
-        """Fold a worker's catalog delta into the coordinator's cache root.
-
-        Best-effort: the catalog is an index, not the results — a merge
-        failure must never cost the job or the worker connection.
-        """
-        if not lines or not self.cache_root:
-            return
-        from repro.lake.catalog import Catalog
-
-        try:
-            with self._catalog_lock:
-                os.makedirs(self.cache_root, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    prefix=".catalog-delta-", suffix=".jsonl"
-                )
-                try:
-                    with os.fdopen(fd, "w") as fh:
-                        fh.write("\n".join(lines) + "\n")
-                    merged = Catalog(root=self.cache_root).merge_from(tmp)
-                finally:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-        except OSError:
-            log.warning("catalog delta merge failed", exc_info=True)
-            return
-        self._count("dist.catalog_lines_merged", merged)
 
     def stats(self) -> dict[str, int]:
         """Snapshot of the coordinator's counters."""

@@ -36,12 +36,7 @@ class DistExecutor(Executor):
         self._outstanding = 0
 
     @classmethod
-    def serve(
-        cls,
-        endpoint: str,
-        cache_root: Optional[str] = None,
-        **coordinator_kwargs,
-    ) -> "DistExecutor":
+    def serve(cls, endpoint: str, **coordinator_kwargs) -> "DistExecutor":
         """Start a coordinator at ``tcp://host:port`` and own it.
 
         The returned executor closes the coordinator when the runner is
@@ -51,9 +46,8 @@ class DistExecutor(Executor):
         from repro.dist.worker import parse_endpoint
 
         host, port = parse_endpoint(endpoint)
-        coordinator = Coordinator(
-            host=host, port=port, cache_root=cache_root, **coordinator_kwargs
-        ).start()
+        coordinator = Coordinator(host=host, port=port, **coordinator_kwargs)
+        coordinator.start()
         return cls(coordinator, own=True)
 
     def parallelism(self) -> int:

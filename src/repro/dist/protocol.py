@@ -15,9 +15,8 @@ Message types (``header["type"]``):
 ``reject``          c → w      version mismatch or shutdown; carries reason
 ``job``             c → w      job id, per-spec wire specs, timeout
 ``ping``            w → c      heartbeat (idle and mid-job)
-``result``          w → c      per-spec scalars + RLE blobs, cache hits
+``result``          w → c      per-spec scalars + RLE blobs
 ``error``           w → c      job id, kind (``timeout``/``error``), detail
-``catalog``         w → c      lake catalog delta lines since last ship
 ``bye``             c → w      drain and disconnect
 ==================  =========  ============================================
 
@@ -40,8 +39,6 @@ from typing import Any, Optional
 
 from repro.runner.spec import RunResult
 from repro.sim.traceio import LazyTrace, load_trace_rle_bytes, trace_rle_to_bytes
-
-PROTOCOL_VERSION = 1
 
 _FRAME_HEADER = struct.Struct(">II")
 

@@ -9,14 +9,10 @@ under the same ``SIGALRM`` budgets, as the local backends
 :func:`~repro.runner.executors._execute_job`), and ship the slim
 results back (scalars + RLE blobs).
 
-Shared-store dedup, worker side: before executing, the worker consults
-its **local** :class:`~repro.runner.cache.ResultCache` (same spec hash
-+ version key as everywhere else).  A group whose members are all
-cached returns without simulating — that is how "a spec already cached
-on any worker executes exactly once" extends beyond the submitting
-host.  Fresh results are stored locally, and the catalog delta the
-store produced (every ``catalog.jsonl`` byte since the last ship) rides
-home to the coordinator, which folds it into the shared lake catalog.
+A worker is stateless: it keeps no cache and writes no catalog.  The
+submitting runner checks its own cache before it submits and stores
+every result that comes back, so its cache is the one store, and its
+catalog the one index, of a distributed batch.
 
 A heartbeat thread pings on the welcome-negotiated interval for the
 whole session — including mid-job, which is what lets the coordinator
@@ -34,7 +30,6 @@ from typing import Optional
 
 import repro
 from repro.obs.logsetup import get_logger
-from repro.runner.cache import ResultCache
 from repro.runner.executors import (
     JobTimeout,
     _execute_cohort_job,
@@ -69,24 +64,16 @@ class DistWorker:
     def __init__(
         self,
         endpoint: str,
-        cache: Optional[ResultCache] = None,
         worker_id: Optional[str] = None,
         connect_timeout_s: float = 30.0,
     ):
         self.host, self.port = parse_endpoint(endpoint)
-        self.cache = cache
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.connect_timeout_s = connect_timeout_s
         self.jobs_done = 0
         self._send_lock = threading.Lock()
         self._stop = threading.Event()
         self._conn: Optional[socket.socket] = None
-        # Where the last catalog ship ended: the file's (st_dev, st_ino),
-        # the byte offset, and the last line shipped, which must still
-        # end at that offset for the file to be the same log.
-        self._catalog_file: Optional[tuple[int, int]] = None
-        self._catalog_offset = 0
-        self._catalog_tail = b""
 
     # -- plumbing -----------------------------------------------------------
 
@@ -121,55 +108,13 @@ class DistWorker:
             except OSError:
                 return
 
-    def _catalog_delta(self) -> list[str]:
-        """New ``catalog.jsonl`` lines since the last ship (byte offset).
-
-        A log replaced under the offset (a rebuild, or a deleted log
-        built again from the tree) is shipped whole from its start, and a
-        line still being written is left for the next ship.
-        """
-        if self.cache is None:
-            return []
-        from repro.lake.catalog import Catalog
-
-        path = Catalog(root=self.cache.root).path
-        try:
-            with open(path, "rb") as fh:
-                st = os.fstat(fh.fileno())
-                file_id = (st.st_dev, st.st_ino)
-                tail = self._catalog_tail
-                fh.seek(self._catalog_offset - len(tail))
-                if file_id != self._catalog_file or fh.read(len(tail)) != tail:
-                    self._catalog_file = file_id
-                    self._catalog_offset, self._catalog_tail = 0, b""
-                    fh.seek(0)
-                data = fh.read()
-        except OSError:
-            return []
-        data = data[:data.rfind(b"\n") + 1]
-        if data:
-            self._catalog_offset += len(data)
-            self._catalog_tail = data[data.rfind(b"\n", 0, -1) + 1:]
-        return [
-            line for line in data.decode(errors="replace").splitlines() if line
-        ]
-
     # -- job execution ------------------------------------------------------
 
     def _execute(self, specs: list[RunSpec], timeout_s: Optional[float]):
-        """Run one group; returns ``(results, cache_hits)``."""
-        if self.cache is not None:
-            cached = [self.cache.load(spec) for spec in specs]
-            if all(r is not None for r in cached):
-                return cached, len(cached)
+        """Run one group: a cohort, or a single spec."""
         if len(specs) > 1:
-            results = _execute_cohort_job(specs, timeout_s)
-        else:
-            results = [_execute_job(specs[0], timeout_s)]
-        if self.cache is not None:
-            for spec, result in zip(specs, results):
-                self.cache.store(spec, result)
-        return results, 0
+            return _execute_cohort_job(specs, timeout_s)
+        return [_execute_job(specs[0], timeout_s)]
 
     def _serve_job(self, msg: dict) -> None:
         job_id = msg["job_id"]
@@ -177,8 +122,7 @@ class DistWorker:
         timeout_s = msg.get("timeout_s")
         log.info("job %s: %s", job_id, group_label(specs))
         try:
-            results, cache_hits = self._execute(specs, timeout_s)
-            metas, blob = encode_results(results)
+            metas, blob = encode_results(self._execute(specs, timeout_s))
         except JobTimeout as exc:
             self._send({
                 "type": "error", "job_id": job_id,
@@ -191,18 +135,8 @@ class DistWorker:
                 "kind": "error", "error": repr(exc),
             })
             return
-        # Ship the catalog delta *before* the result: the coordinator is
-        # guaranteed to be consuming frames for this job until the result
-        # lands, so the delta can never race a post-sweep shutdown.
-        delta = self._catalog_delta()
-        if delta:
-            self._send({"type": "catalog", "lines": delta})
         self._send(
-            {
-                "type": "result", "job_id": job_id,
-                "results": metas, "cache_hits": cache_hits,
-            },
-            blob,
+            {"type": "result", "job_id": job_id, "results": metas}, blob
         )
         self.jobs_done += 1
 
@@ -231,10 +165,6 @@ class DistWorker:
                 raise ProtocolError(
                     f"expected welcome, got {reply.get('type')!r}"
                 )
-            # Prime the catalog delta: lines that existed before this
-            # session are the coordinator's to collect via lake index
-            # --merge, not ours to re-ship.
-            self._catalog_delta()
             interval_s = float(reply.get("heartbeat_s") or 2.0)
             heartbeat = threading.Thread(
                 target=self._heartbeat_loop, args=(interval_s,),
@@ -276,14 +206,10 @@ class DistWorker:
 
 def run_worker(
     endpoint: str,
-    cache: Optional[ResultCache] = None,
     worker_id: Optional[str] = None,
     connect_timeout_s: float = 30.0,
 ) -> int:
     """Convenience wrapper: one :class:`DistWorker` session, jobs served."""
     return DistWorker(
-        endpoint,
-        cache=cache,
-        worker_id=worker_id,
-        connect_timeout_s=connect_timeout_s,
+        endpoint, worker_id=worker_id, connect_timeout_s=connect_timeout_s
     ).run()

@@ -10,14 +10,13 @@ per catalog operation::
 Design choices, deliberate and load-bearing:
 
 - **Append-only JSONL, not SQLite.**  Appends are atomic at line
-  granularity, concurrent writers never corrupt each other, and two
-  catalogs merge by concatenation — the property the distributed-sweep
-  roadmap item needs when remote workers ship their index deltas home.
-  Reading folds the log: last ``store`` wins per ``(version, spec_key)``,
-  a later ``evict`` removes it.
+  granularity, so concurrent writers never corrupt each other, and the
+  log stays inspectable with any text tool.  Reading folds the log:
+  last ``store`` wins per ``(version, spec_key)``, a later ``evict``
+  removes it.
 - **Versioned schema.**  Every line carries ``schema``; readers skip
   lines from a *newer* schema (forward-compatible: an old reader of a
-  merged file degrades to a partial view instead of crashing) and count
+  newer log degrades to a partial view instead of crashing) and count
   them in ``lake.catalog.skipped_lines``.
 - **Rebuildable.**  The log is a cache of the cache: ``rebuild()``
   re-derives every record by scanning ``<root>/<version>/<key>/
@@ -246,17 +245,17 @@ class Catalog:
 
     # -- incremental writes ------------------------------------------------
 
-    def _write_lines(self, lines: list[str]) -> None:
-        """Append ``lines`` with one ``os.write`` on an ``O_APPEND`` fd.
+    def _write_line(self, line: str) -> None:
+        """Append ``line`` with one ``os.write`` on an ``O_APPEND`` fd.
 
-        POSIX makes the seek+write atomic, so concurrent writers (pool
-        workers, distributed workers sharing a cache root) never
-        interleave bytes mid-line.
+        POSIX makes the seek+write atomic, so concurrent writers (runners
+        in several processes sharing a cache root) never interleave bytes
+        mid-line.
         """
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            os.write(fd, ("\n".join(lines) + "\n").encode())
+            os.write(fd, (line + "\n").encode())
         finally:
             os.close(fd)
 
@@ -265,7 +264,7 @@ class Catalog:
         record = {"schema": CATALOG_SCHEMA_VERSION, **record}
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         try:
-            self._write_lines([line])
+            self._write_line(line)
         except OSError as exc:
             global_metrics().counter("lake.catalog.append_errors").inc()
             log.warning("catalog append to %s failed: %s", self.path, exc)
@@ -345,9 +344,9 @@ class Catalog:
     def entries(self) -> list[CatalogEntry]:
         """Fold the log into the current entry set (last write wins).
 
-        Returns entries sorted by ``(version, spec_key)`` so downstream
-        reports are deterministic regardless of append order — the
-        property that makes merged catalogs from several writers agree.
+        Returns entries sorted by ``(version, spec_key)``, so downstream
+        reports are deterministic whatever order concurrent writers
+        appended in.
         """
         folded: dict[tuple[str, str], Optional[CatalogEntry]] = {}
         for record in self._iter_lines():
@@ -444,27 +443,6 @@ class Catalog:
         if self.exists():
             return self.entries()
         return self.scan()
-
-    def merge_from(self, other_path: str) -> int:
-        """Append another catalog's lines to this one (distributed merge).
-
-        Line-level concatenation is sufficient because reads fold the
-        log — duplicate or out-of-order records resolve identically on
-        every reader.  Returns the number of lines appended.
-        """
-        lines = []
-        other = Catalog(root=self.root, path=other_path)
-        for record in other._iter_lines():
-            lines.append(
-                json.dumps(record, sort_keys=True, separators=(",", ":"))
-            )
-        if lines:
-            # Index the local tree first, so the merged lines never
-            # start a log that hides it.
-            if not self.exists():
-                self._write_log(self.scan(), exclusive=True)
-            self._write_lines(lines)
-        return len(lines)
 
     # -- summaries ---------------------------------------------------------
 

@@ -249,11 +249,7 @@ class BatchRunner:
         n = len(spec_list)
         results: list[Optional[RunResult]] = [None] * n
         records: list[Optional[JobRecord]] = [None] * n
-        executor, owned = make_executor(
-            self.executor,
-            self.workers,
-            cache_root=self.cache.root if self.cache is not None else None,
-        )
+        executor, owned = make_executor(self.executor, self.workers)
         serial = isinstance(executor, SerialExecutor)
         self._transport_bytes = 0
         t0 = time.monotonic()

@@ -325,11 +325,7 @@ class PoolExecutor(Executor):
         self._futures.clear()
 
 
-def make_executor(
-    spec: object,
-    workers: int,
-    cache_root: Optional[str] = None,
-) -> tuple[Executor, bool]:
+def make_executor(spec: object, workers: int) -> tuple[Executor, bool]:
     """Resolve a ``BatchRunner`` ``executor=`` argument to an instance.
 
     Returns ``(executor, owned)``; an executor the runner constructed
@@ -358,7 +354,7 @@ def make_executor(
         if spec.startswith("tcp://"):
             from repro.dist import DistExecutor
 
-            return DistExecutor.serve(spec, cache_root=cache_root), True
+            return DistExecutor.serve(spec), True
     raise ValueError(
         f"unknown executor {spec!r}; expected an Executor, None, "
         "'serial', 'pool', or 'tcp://host:port'"

@@ -262,8 +262,8 @@ def spec_to_wire(spec: RunSpec) -> dict[str, Any]:
 
     Unlike :meth:`RunSpec.manifest` (a one-way hash input), this form is
     lossless: :func:`spec_from_wire` reconstructs a spec with the same
-    content key, so a remote worker's cache entries are interchangeable
-    with local ones.  Scheduler parameters travel field-wise (frozen
+    content key, so a remote worker's result is stored under the same
+    cache key as a local one.  Scheduler parameters travel field-wise (frozen
     dataclasses of primitives); a registry chip travels as its id, an
     inline :class:`ChipSpec` as a pickle (base64) — acceptable on a
     trusted cluster where the coordinator has already version-matched

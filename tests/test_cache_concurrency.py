@@ -1,7 +1,6 @@
 """Concurrency regression tests for the shared result-cache store.
 
-The distributed backend points many processes (pool workers, remote
-``biglittle worker`` sessions via catalog merge) at one cache root, so
+Several runners, in as many processes, may point at one cache root, so
 ``ResultCache.store`` must tolerate concurrent writers racing on the
 same entry directory, and the catalog log must never interleave bytes
 mid-line.  These tests hammer one cache root from several processes and

@@ -7,6 +7,7 @@ point.  All specs travel with ``trace_policy`` in the wire-admitted set
 (``rle``/``none``).
 """
 
+import json
 import os
 import socket
 import subprocess
@@ -18,10 +19,12 @@ import numpy as np
 import pytest
 
 import repro
+from repro.cli import main
 from repro.dist import (
     Coordinator,
     DistExecutor,
     DistWorker,
+    ProtocolError,
     decode_results,
     encode_results,
     job_key,
@@ -29,8 +32,9 @@ from repro.dist import (
     recv_frame,
     send_frame,
 )
+from repro.lake.catalog import Catalog
 from repro.runner.batch import BatchRunner
-from repro.runner.cache import ResultCache
+from repro.runner.cache import CACHE_DIR_ENV, ResultCache
 from repro.runner.spec import (
     RunSpec,
     execute_spec,
@@ -63,16 +67,16 @@ def _kind_spec(kind: str, workload: str = "w", seed: int = 0) -> RunSpec:
     )
 
 
-def _thread_worker(coord: Coordinator, cache=None, worker_id=None):
+def _thread_worker(coord: Coordinator, worker_id=None):
     """A real DistWorker session on a daemon thread (SIGALRM stays off)."""
-    worker = DistWorker(coord.endpoint, cache=cache, worker_id=worker_id)
+    worker = DistWorker(coord.endpoint, worker_id=worker_id)
     thread = threading.Thread(target=worker.run, daemon=True)
     thread.start()
     return worker, thread
 
 
-def _cli_worker(endpoint: str, *extra: str) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH="src")
+def _cli_worker(endpoint: str, *extra: str, **env_extra: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH="src", **env_extra)
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "worker",
          "--connect", endpoint, *extra],
@@ -272,7 +276,7 @@ def test_worker_killed_mid_job_requeues(tmp_path):
     spec = _kind_spec(CRASH_ONCE_KIND, workload=flag)
     with Coordinator(heartbeat_s=0.2) as coord:
         coord.start()
-        procs = [_cli_worker(coord.endpoint, "--no-cache", "--id", f"c{i}")
+        procs = [_cli_worker(coord.endpoint, "--id", f"c{i}")
                  for i in (1, 2)]
         try:
             assert coord.wait_for_workers(2, timeout_s=30) == 2
@@ -323,9 +327,7 @@ def test_worker_death_exhausts_requeues_then_fails():
 
         def run(self):
             while not self.stop:
-                proc = _cli_worker(
-                    self.endpoint, "--no-cache", "--connect-timeout", "2"
-                )
+                proc = _cli_worker(self.endpoint, "--connect-timeout", "2")
                 self.procs.append(proc)
                 proc.wait()
 
@@ -388,56 +390,105 @@ def test_concurrent_duplicate_sweep_executes_once():
     assert stats["dist.specs_executed"] == 3  # zero duplicate executions
 
 
-def test_worker_local_cache_answers_without_executing(tmp_path):
-    """A spec cached on the worker is served from its cache, not re-run."""
-    specs = [_sim_spec(s) for s in (7, 8)]
-    cache = ResultCache(root=str(tmp_path / "wcache"))
-    for spec in specs:
-        cache.store(spec, execute_spec(spec))
-    with Coordinator().start() as coord:
-        _thread_worker(coord, cache=cache)
-        coord.wait_for_workers(1)
-        report = BatchRunner(cache=None, executor=DistExecutor(coord)).run(specs)
-        stats = coord.stats()
-    assert report.succeeded()
-    assert stats["dist.worker_cache_hits"] == 2
-    for spec, result in zip(specs, report.results):
-        assert result.scalars() == cache.load(spec).scalars()
+# ---------------------------------------------------------------------------
+# One store and one index: the submitting runner's
+# ---------------------------------------------------------------------------
 
 
-def test_worker_catalog_delta_survives_a_replaced_log(tmp_path):
-    """Byte-offset shipping restarts on a rebuilt log and skips torn lines."""
-    import json
+def _assert_indexed_once(root: str, specs) -> None:
+    """Catalog log == tree scan == the specs, one ``store`` line each."""
+    catalog = Catalog(root=root)
+    expected = {(repro.__version__, s.key()) for s in specs}
 
-    from repro.lake.catalog import Catalog
+    def keys(entries):
+        return {(e.version, e.spec_key) for e in entries}
 
-    cache = ResultCache(root=str(tmp_path))
-    catalog = Catalog(root=cache.root)
-    worker = DistWorker("tcp://127.0.0.1:1", cache=cache)
+    assert keys(catalog.load()) == keys(catalog.scan()) == expected
+    with open(catalog.path) as fh:
+        ops = [json.loads(line)["op"] for line in fh if line.strip()]
+    assert ops == ["store"] * len(specs)
+    assert main(["lake", "index", "--cache-dir", root]) == 0
+    assert keys(catalog.load()) == expected
+
+
+def test_distributed_batch_is_indexed_once_by_the_runner(tmp_path):
     specs = [_sim_spec(s) for s in (1, 2, 3)]
-    result = execute_spec(specs[0])
+    cache = ResultCache(root=str(tmp_path))
+    with Coordinator().start() as coord:
+        _, thread = _thread_worker(coord)
+        coord.wait_for_workers(1)
+        report = BatchRunner(cache=cache, executor=DistExecutor(coord)).run(specs)
+    report.raise_on_failure()
+    _assert_indexed_once(cache.root, specs)
+    thread.join(timeout=5)
 
-    cache.store(specs[0], result)
-    assert len(worker._catalog_delta()) == 1
-    cache.store(specs[1], result)
-    assert [json.loads(line)["spec_key"] for line in worker._catalog_delta()] == [
-        specs[1].key()
-    ]
-    assert worker._catalog_delta() == []
 
-    # A compaction replaces the file: the whole new log ships, one
-    # parseable line per entry, nothing skipped.
-    cache.evict(specs[0])
-    catalog.rebuild()
-    cache.store(specs[2], result)
-    shipped = [json.loads(line) for line in worker._catalog_delta()]
-    assert {r["spec_key"] for r in shipped} == {specs[1].key(), specs[2].key()}
+def test_runner_served_endpoint_is_indexed_once(tmp_path):
+    """The ``sweep --executor tcp://`` path with a plain CLI worker."""
+    specs = [_sim_spec(s) for s in (1, 2, 3)]
+    cache = ResultCache(root=str(tmp_path / "lake"))
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        endpoint = f"tcp://127.0.0.1:{probe.getsockname()[1]}"
+    # Whatever the worker might write stays inside tmp_path.
+    proc = _cli_worker(endpoint, **{CACHE_DIR_ENV: str(tmp_path / "worker")})
+    try:
+        report = BatchRunner(cache=cache, executor=endpoint).run(specs)
+    finally:
+        try:
+            proc.communicate(timeout=15)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+    report.raise_on_failure()
+    _assert_indexed_once(cache.root, specs)
 
-    # A line still being written waits for its newline.
-    record = json.dumps({"schema": 1, "op": "evict", "version": "x", "spec_key": "y"})
-    with open(catalog.path, "a") as fh:
-        fh.write(record[:10])
-    assert worker._catalog_delta() == []
-    with open(catalog.path, "a") as fh:
-        fh.write(record[10:] + "\n")
-    assert worker._catalog_delta() == [record]
+
+def test_unexpected_frame_mid_job_requeues_to_a_real_worker(monkeypatch):
+    """A worker that answers a job with a frame the protocol does not
+    expect mid-job (here the ``catalog`` frame an older worker at the same
+    version sends) is dropped and its job requeued, never answered."""
+    raised = []
+    dispatch = Coordinator._dispatch
+
+    def _recording_dispatch(self, worker, job):
+        try:
+            return dispatch(self, worker, job)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(Coordinator, "_dispatch", _recording_dispatch)
+    spec = _sim_spec(9)
+    with Coordinator().start() as coord:
+        fake = socket.create_connection((coord.host, coord.port), timeout=10)
+        try:
+            send_frame(fake, {
+                "type": "hello", "worker_id": "fake",
+                "version": repro.__version__,
+            })
+            assert recv_frame(fake)[0]["type"] == "welcome"
+            coord.wait_for_workers(1)
+            reports = []
+            runner = threading.Thread(target=lambda: reports.append(
+                BatchRunner(cache=None, executor=DistExecutor(coord)).run([spec])
+            ))
+            runner.start()
+            job, _ = recv_frame(fake)
+            assert job["type"] == "job"
+            send_frame(fake, {"type": "catalog", "lines": []})
+            with pytest.raises(ConnectionError):
+                recv_frame(fake)  # the coordinator hung up on the fake
+        finally:
+            fake.close()
+        _thread_worker(coord, worker_id="real")
+        runner.join(timeout=60)
+        stats = coord.stats()
+    assert [type(exc) for exc in raised] == [ProtocolError]
+    assert "'catalog'" in str(raised[0])
+    (report,) = reports
+    report.raise_on_failure()
+    assert report.results[0].scalars() == execute_spec(spec).scalars()
+    assert stats["dist.requeues"] == 1
+    assert stats["dist.workers_disconnected"] >= 1
+    assert stats["dist.jobs_executed"] == 1

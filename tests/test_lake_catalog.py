@@ -190,19 +190,6 @@ class TestCatalog:
         assert self._keys(catalog.load()) == {(cache.version, specs[1].key())}
         assert self._keys(catalog.load()) == self._keys(catalog.scan())
 
-    def test_merge_from_other_catalog(self, lake_root, tmp_path):
-        other_cache = ResultCache(root=str(tmp_path))
-        spec = RunSpec("browser", seed=42, max_seconds=1.0, trace_policy="none")
-        other_cache.store(spec, execute_spec(spec))
-        catalog = Catalog(root=lake_root)
-        before = len(catalog.entries())
-        appended = catalog.merge_from(os.path.join(str(tmp_path), "catalog.jsonl"))
-        assert appended == 1
-        merged = catalog.entries()
-        assert len(merged) == before + 1
-        assert any(e.seed == 42 for e in merged)
-        catalog.rebuild()  # restore: merged entry has no local files
-
     def test_breakdown(self, lake_root):
         breakdown = Catalog(root=lake_root).breakdown()
         per_app = breakdown[repro.__version__]
