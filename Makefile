@@ -1,6 +1,6 @@
 # Convenience targets for the biglittle-repro repository.
 
-.PHONY: install test claims dist-smoke artifacts calibrate examples clean
+.PHONY: install test claims bench bench-trace dist-smoke artifacts calibrate examples clean
 
 install:
 	pip install -e .
@@ -11,6 +11,15 @@ test:
 # The paper's findings as executable checks (about two minutes).
 claims:
 	PYTHONPATH=src python -m pytest -m claims
+
+# The repository benchmark (bench/README.md): four workloads, end to
+# end, with their outputs checked.  bench-trace adds the per-layer
+# metrics of one short traced run (spans in bench-trace.json).
+bench:
+	python bench/run.py
+
+bench-trace:
+	python bench/run.py --trace 1 --seconds 1
 
 # Distributed execution smoke: 2 localhost TCP workers, results must be
 # identical to the local process-pool backend, catalog exported.

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from repro.core.report import render_table
 from repro.experiments.common import perf_change_pct, relative_change_pct
-from repro.platform.chip import ChipSpec
-from repro.runner import BatchRunner, RunResult, RunSpec
+from repro.platform.chip import ChipSpec, CoreConfig
+from repro.runner import BatchRunner, RunResult, RunSpec, resolve_chip
 from repro.workloads.base import Metric
 from repro.workloads.mobile import MOBILE_APP_NAMES
 
@@ -71,11 +71,20 @@ def coreconfig_specs(
     # the sweep's historical default platform is the screen-off chip.
     chip = chip if chip is not None else "exynos5422"
     labels = configs or CORE_CONFIG_LABELS
+    # On a chip whose full configuration is the baseline, submit the
+    # baseline as the chip's default (``core_config=None``): that is the
+    # same simulation under the key every other sweep uses for it (Figs
+    # 11-13 baseline), so a shared runner or cache runs it once.
+    baseline = (
+        None
+        if resolve_chip(chip).max_config() == CoreConfig.parse(BASELINE_LABEL)
+        else BASELINE_LABEL
+    )
     specs = []
     # The sweep reads only scalar metrics, so nothing but a few hundred
     # bytes needs to come back from each worker.
     for app_name in apps or MOBILE_APP_NAMES:
-        for label in [BASELINE_LABEL, *labels]:
+        for label in [baseline, *labels]:
             specs.append(
                 RunSpec(
                     app_name, chip=chip, core_config=label, seed=seed,

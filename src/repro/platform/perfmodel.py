@@ -71,6 +71,23 @@ class WorkClass:
             raise ValueError(
                 f"activity_factor must be positive, got {self.activity_factor}"
             )
+        # Work classes key the engine's throughput tables, so the hash
+        # is computed once (from the fields, as the generated one was).
+        object.__setattr__(self, "_hash", hash((
+            self.name, self.compute_fraction, self.wss_kb, self.ilp,
+            self.activity_factor,
+        )))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: a pickled hash would be stale in a
+        # process with another string-hash seed.
+        return (WorkClass, (
+            self.name, self.compute_fraction, self.wss_kb, self.ilp,
+            self.activity_factor,
+        ))
 
     def effective_ipc_ratio(self, core: CoreSpec) -> float:
         """IPC ratio this work achieves on ``core`` (little baseline = 1.0)."""

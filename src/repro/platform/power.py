@@ -179,16 +179,19 @@ class PowerModel:
 
 
 class DeferredPowerPipeline:
-    """Deferred, vectorized evaluation of the per-tick power columns.
+    """Deferred, vectorized writer of every trace column.
 
     When there is no thermal or GPU feedback, nothing inside a run reads
-    the power columns — only post-run analyses do.  The engine then
-    records power as a placeholder and :meth:`stage`\\ s the raw inputs
-    (per-core busy fractions, activity factors, deep-idle flags) as rows
-    of one or more consecutive ticks: a reference tick stages a 1-tick
-    row, a fast-forward span one row per constant-power segment.
-    :meth:`flush` computes core/cluster/system power for all staged rows
-    at once with NumPy and writes the columns back into the trace.
+    the trace — only post-run analyses do.  The engine then
+    :meth:`stage`\\ s each tick's raw inputs (per-core busy fractions,
+    activity factors, deep-idle flags, both cluster frequencies and the
+    wake-up count) as rows of one or more consecutive ticks: a reference
+    tick stages a 1-tick row, a fast-forward span one row per
+    constant-power segment.  Staging reserves the rows in the trace, so
+    ``len(trace)`` advances tick by tick; :meth:`flush` computes
+    core/cluster/system power for all staged rows at once with NumPy and
+    writes every column back with one vectorized assignment each
+    (:meth:`Trace.fill_rows`).
 
     **Bit-exactness contract** (verified by the golden-trace suite): the
     vectorized arithmetic reproduces ``Simulator._record_tick``'s scalar
@@ -201,20 +204,16 @@ class DeferredPowerPipeline:
       elementwise multiplies see identical operands;
     - core and cluster sums are sequential left folds in core order
       (never ``np.sum``, whose pairwise reduction rounds differently);
-    - values stay float64 end to end and are cast to float32 only on
-      assignment into the trace arrays — the same single cast the
-      per-tick path performs.
-
-    Frequencies are read back from the trace's already-recorded freq
-    columns at each row's first tick, so the pipeline needs no frequency
-    staging; the ticks of one row share their frequencies.
+    - values stay float64 end to end and are cast to their column's
+      dtype once, when :meth:`Trace.fill_rows` writes them — the same
+      single cast the scalar :meth:`Trace.record` performs.
     """
 
-    #: Auto-flush threshold: bounds the staging memory, about 850 B of
-    #: Python lists per staged row (3.5 MB at this threshold; a 60 s
-    #: reference-ticking run would otherwise hold about 30 MB until its
-    #: end-of-run flush).  Flushing mid-run is bit-exact: staged row
-    #: sets are disjoint.
+    #: Auto-flush threshold: bounds the staging memory, about 480 B of
+    #: Python objects per staged row under tracemalloc (2.0 MB at this
+    #: threshold; a 60 s ``video-player`` run stages 39,223 rows and
+    #: would otherwise hold 19 MB until its end-of-run flush).  Flushing
+    #: mid-run is bit-exact: staged row sets are disjoint.
     _FLUSH_THRESHOLD = 4096
 
     def __init__(self, power_model: PowerModel, trace, core_types, enabled, opp_tables):
@@ -243,48 +242,56 @@ class DeferredPowerPipeline:
                 p.idle_static_fraction,
                 p.deep_idle_static_fraction,
             )
-        self._indices: list[int] = []
-        self._ticks: list[int] = []
-        self._busy_rows: list[list[float]] = []
-        self._af_rows: list[list[float]] = []
-        self._deep_rows: list[list[bool]] = []
+        #: Staged rows since the last flush, each ``(busy, activity
+        #: factors, deep flags, little kHz, big kHz, wake-ups, ticks)``;
+        #: together they are the trace's last reserved rows.
+        self._rows: list[tuple] = []
 
     def stage(
-        self, index, busy_fractions, activity_factors, deep_flags, ticks=1
+        self,
+        busy_fractions,
+        activity_factors,
+        deep_flags,
+        little_freq_khz,
+        big_freq_khz,
+        wakeups,
+        ticks=1,
     ) -> None:
-        """Stage the power inputs of trace rows ``index .. index + ticks - 1``.
+        """Append ``ticks`` trace rows sharing one set of tick inputs.
 
         ``busy_fractions`` covers all cores; ``activity_factors`` and
         ``deep_flags`` cover enabled cores in core order.  The lists are
         kept by reference — callers must not mutate them afterwards.
         """
-        self._indices.append(index)
-        self._ticks.append(ticks)
-        self._busy_rows.append(busy_fractions)
-        self._af_rows.append(activity_factors)
-        self._deep_rows.append(deep_flags)
-        if len(self._indices) >= self._FLUSH_THRESHOLD:
+        self._trace.reserve(ticks)
+        rows = self._rows
+        rows.append((
+            busy_fractions, activity_factors, deep_flags,
+            little_freq_khz, big_freq_khz, wakeups, ticks,
+        ))
+        if len(rows) >= self._FLUSH_THRESHOLD:
             self.flush()
 
     def flush(self) -> None:
-        """Compute and write back power for all staged rows."""
-        if not self._indices:
+        """Compute power for all staged rows and write every trace column."""
+        rows = self._rows
+        if not rows:
             return
-        trace = self._trace
-        idx = np.asarray(self._indices, dtype=np.intp)
-        ticks = np.asarray(self._ticks, dtype=np.intp)
-        busy = np.asarray(self._busy_rows, dtype=np.float64)
-        af = np.asarray(self._af_rows, dtype=np.float64)
-        deep = np.asarray(self._deep_rows, dtype=bool)
-        self._indices, self._ticks, self._busy_rows = [], [], []
-        self._af_rows, self._deep_rows = [], []
+        self._rows = []
+        busy, af, deep, little_khz, big_khz, wakeups, ticks = (
+            np.asarray(column, dtype=dtype)
+            for column, dtype in zip(
+                zip(*rows),
+                (np.float64, np.float64, bool, np.int64, np.int64, np.int64, np.intp),
+            )
+        )
+        # Free the staged Python rows before the power arithmetic (in
+        # place: ``stage`` still holds the list while it flushes).
+        rows.clear()
+        freq_by_type = {CoreType.LITTLE: little_khz, CoreType.BIG: big_khz}
 
         pm = self._pm
-        n = len(idx)
-        freq_by_type = {
-            CoreType.LITTLE: trace.freq_khz(CoreType.LITTLE)[idx],
-            CoreType.BIG: trace.freq_khz(CoreType.BIG)[idx],
-        }
+        n = len(busy)
         prefactors = {}
         for core_type, (freqs, static_active, dyn_prefactor, ifrac, dfrac) in (
             self._luts.items()
@@ -328,10 +335,10 @@ class DeferredPowerPipeline:
         ]
         base = pm.params.base_mw + pm.params.screen_mw
         system = (base + core_sum) + sum(cluster_powers)
-        # One entry per trace row: staged row k covers ``ticks[k]`` rows
-        # from ``idx[k]``, and its first entry lands at ``cumsum - ticks``.
-        rows = np.repeat(idx - (np.cumsum(ticks) - ticks), ticks)
-        trace.fill_power(
-            rows + np.arange(len(rows)),
-            *(np.repeat(column, ticks) for column in (system, little_sum, big_sum)),
+        # Staged row k covers ``ticks[k]`` trace rows; the staged rows
+        # are the trace's last ``sum(ticks)`` rows.
+        trace = self._trace
+        trace.fill_rows(
+            len(trace) - int(ticks.sum()), ticks, busy, little_khz, big_khz,
+            wakeups, system, little_sum, big_sum,
         )

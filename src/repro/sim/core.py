@@ -22,6 +22,29 @@ if TYPE_CHECKING:  # pragma: no cover
 _TIME_EPS_S = 1e-12
 
 
+class ThroughputTable(dict):
+    """Throughput (units/s) by work class of one core spec at one
+    ``(freq_khz, memory_contention)`` point.
+
+    A hit is a plain dict lookup; a miss fills the entry from
+    :func:`cached_throughput`, so every value equals it exactly.
+    """
+
+    __slots__ = ("spec", "freq_khz", "memory_contention")
+
+    def __init__(self, spec: CoreSpec, freq_khz: int, memory_contention: float):
+        super().__init__()
+        self.spec = spec
+        self.freq_khz = freq_khz
+        self.memory_contention = memory_contention
+
+    def __missing__(self, work_class: WorkClass) -> float:
+        value = self[work_class] = cached_throughput(
+            self.spec, self.freq_khz, work_class, self.memory_contention
+        )
+        return value
+
+
 class SimCore:
     """One physical core: identity, runqueue, and per-tick accounting."""
 
@@ -50,9 +73,9 @@ class SimCore:
         # derived from the previous tick's busy core count).
         self.memory_contention = 1.0
 
-        # Throughput memo keyed by (freq_khz, work_class, contention):
-        # the spec is fixed per core, so it stays out of the key.
-        self._tput: dict[tuple[int, WorkClass, float], float] = {}
+        # Throughput tables keyed by (freq_khz, contention): the spec is
+        # fixed per core, so it stays out of the key.
+        self._tput: dict[tuple[int, float], ThroughputTable] = {}
 
     def __repr__(self) -> str:
         return (
@@ -113,8 +136,11 @@ class SimCore:
             return
         remaining = tick_s
         # Frequency and contention are fixed for the whole tick, so one
-        # throughput closure serves every task and water-filling round.
-        throughput_fn = self._throughput_fn()
+        # throughput table serves every task and water-filling round.
+        key = (self.freq_khz, self.memory_contention)
+        throughput = self._tput.get(key)
+        if throughput is None:
+            throughput = self._tput[key] = ThroughputTable(self.spec, *key)
         # Tasks woken mid-loop by other cores' posts are handled next tick,
         # so snapshot the runnable set per water-filling round.
         while remaining > _TIME_EPS_S:
@@ -125,9 +151,11 @@ class SimCore:
             used_sum = 0.0
             any_blocked = False
             for task in active:
-                used = task.run_for(share, throughput_fn, sim)
+                used = task.run_for(share, throughput, sim)
                 used_sum += used
-                self.activity_weighted_s += used * task.current_activity_factor()
+                # After a block or finish this is the task's own class.
+                af = task.current_work_class.activity_factor
+                self.activity_weighted_s += used * af
                 if task.state is not TaskState.RUNNABLE:
                     any_blocked = True
             self.busy_in_tick_s += used_sum
@@ -137,19 +165,6 @@ class SimCore:
                 # to float error.
                 break
         self.busy_in_window_s += self.busy_in_tick_s
-
-    def _throughput_fn(self):
-        spec, freq, contention = self.spec, self.freq_khz, self.memory_contention
-        memo = self._tput
-
-        def tput(work_class: WorkClass) -> float:
-            key = (freq, work_class, contention)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = cached_throughput(spec, freq, work_class, contention)
-            return value
-
-        return tput
 
     def busy_fraction(self, tick_s: float) -> float:
         return min(1.0, self.busy_in_tick_s / tick_s)

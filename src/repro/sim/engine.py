@@ -36,8 +36,8 @@ shapes:
 The replay runs the governors over the span
 (:meth:`Governor.tick_span`), advances queued tasks' loads through
 :meth:`LoadTracker.advance` and their work through
-:meth:`Task.fastforward_steady`, and backfills the trace through
-:meth:`Trace.record_block` — all bit-exact with the reference loop (see
+:meth:`Task.fastforward_steady`, and stages the span's trace rows into
+the deferred power pipeline — all bit-exact with the reference loop (see
 ``docs/architecture.md`` for the eligibility invariants).  The fast
 paths are pinned off with ``SimConfig(fastpath=False)`` or
 ``REPRO_ENGINE_FASTPATH=0``.
@@ -46,21 +46,23 @@ paths are pinned off with ``SimConfig(fastpath=False)`` or
 (a span) are two entry points over shared phases; the reference tick runs
 each phase that has a span form as a one-tick span.  Loads fold through
 ``LoadTracker.advance(sample, 1)``; :meth:`InteractiveGovernor.tick` is
-a one-tick ``tick_span(commit=True)``; and with no thermal/GPU feedback
-(nothing in the run reads power) both record a placeholder and
-stage power inputs into :class:`repro.platform.power.DeferredPowerPipeline`
-— a 1-tick row per reference tick, one multi-tick row per
-constant-power span segment — which computes the power columns
-vectorized at the end of the run.  A span computes no power, so it
-requires the pipeline: ``fastpath_enabled`` implies
+a one-tick ``tick_span(commit=True)``; and record has one
+implementation per mode.  With no thermal/GPU feedback (nothing in the
+run reads the trace) both stage each row's inputs into
+:class:`repro.platform.power.DeferredPowerPipeline` — a 1-tick row per
+reference tick, one multi-tick row per constant-power span segment —
+which is then the only writer of every trace column: it computes power
+and writes all columns vectorized at each flush.  A span writes no
+trace column, so it requires the pipeline: ``fastpath_enabled`` implies
 ``deferred_power_enabled``, and spans refuse while tick hooks (the one
 other thing that keeps the pipeline off) are set.  ``_record_tick``'s
-scalar power is the oracle, used by pinned-off, thermal, GPU and
-tick-hook runs.  Execution keeps two forms, ``Task.run_for``
-water-filling per tick and ``Task.fastforward_steady`` per span
-segment: a reference tick can finish a directive mid-tick and run the
-next one or hand its unused share to other tasks, which a span, cut
-one decrement short of any exhaustion, never does.
+scalar :meth:`Trace.record` with per-tick power is the oracle, used by
+pinned-off, thermal, GPU and tick-hook runs.  Execution keeps two
+forms, ``Task.run_for`` water-filling per tick and
+``Task.fastforward_steady`` per span segment: a reference tick can
+finish a directive mid-tick and run the next one or hand its unused
+share to other tasks, which a span, cut one decrement short of any
+exhaustion, never does.
 """
 
 from __future__ import annotations
@@ -770,8 +772,8 @@ class Simulator:
         per-domain batching matches the reference interleaving), task
         loads advance through :meth:`LoadTracker.advance` and work
         through :meth:`Task.fastforward_steady` per frequency segment,
-        and the trace is backfilled in piecewise-constant
-        ``record_block`` segments, each staged as one power pipeline row.
+        and the trace's piecewise-constant segments are each staged as
+        one multi-tick power pipeline row.
         """
         core_plans, busy_by_core, contention = plan
         start = self.tick
@@ -830,7 +832,7 @@ class Simulator:
                         seg_len,
                     )
                 task.runnable_at_tick_start = True
-                aw += share * task.current_activity_factor()
+                aw += share * task.current_work_class.activity_factor
             core.busy_in_tick_s = busy_by_core[core.core_id]
             core.activity_weighted_s = aw
             core.tick_tasks = list(core.runqueue)
@@ -841,8 +843,8 @@ class Simulator:
         # except that an idle core enters deep idle at most once.  The
         # trace is piecewise-constant between span ends, governor changes
         # (recorded at their offset) and those deep-idle entries; each
-        # piece is recorded as one block and staged as one multi-tick row
-        # of the power pipeline, which reference ticks stage into too.
+        # piece is staged as one multi-tick row of the power pipeline,
+        # which reference ticks stage into too.
         dp = self._deferred
         assert dp is not None, "spans run only with the deferred power pipeline"
         busy_all = [0.0] * len(self.cores)
@@ -874,7 +876,6 @@ class Simulator:
             core.idle_ticks = base + n
         busy_deep = 0 >= deep_entry
 
-        trace = self.trace
         i_little = i_big = 0
         ordered_cuts = sorted(cuts)
         for a, b in zip(ordered_cuts, ordered_cuts[1:]):
@@ -890,8 +891,7 @@ class Simulator:
                 busy_deep if base is None else base + a + 1 >= deep_entry
                 for base in idle_bases
             ]
-            trace.record_block(b - a, busy_all, freq_little, freq_big)
-            dp.stage(len(trace) - (b - a), busy_all, afs, deeps, b - a)
+            dp.stage(busy_all, afs, deeps, freq_little, freq_big, 0, b - a)
 
         # Every busy core accrues a positive busy time each tick.
         self._busy_cores_prev = len(core_plans)
@@ -981,16 +981,12 @@ class Simulator:
         self._busy_cores_prev = n_busy
         dp = self._deferred
         if dp is not None:
-            # Record a power placeholder and stage a 1-tick pipeline row;
-            # the scalar path below is its oracle.
-            self.trace.record(
-                busy,
-                dom_little.freq_khz,
-                dom_big.freq_khz,
-                0.0,
-                wakeups=self._wakeups_this_tick,
+            # Stage a 1-tick pipeline row, which writes the whole trace
+            # row at its flush; the scalar path below is its oracle.
+            dp.stage(
+                busy, afs, deeps, dom_little.freq_khz, dom_big.freq_khz,
+                self._wakeups_this_tick,
             )
-            dp.stage(len(self.trace) - 1, busy, afs, deeps)
             return
         pm = self._pm
         # Cluster voltage is shared; evaluate it once per tick per domain

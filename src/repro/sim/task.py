@@ -180,6 +180,12 @@ class Task:
         self._gen: Optional[Behavior] = None
         self._current: Optional[Directive] = None
         self._remaining_units = 0.0
+        #: The work class of the directive being executed right now: a
+        #: ``Work`` directive's own class, else the task's.  Kept by
+        #: :meth:`_advance` on every directive change, since the engine
+        #: reads it on every execution step (and, for the activity
+        #: factor, after the task blocks or finishes).
+        self.current_work_class: WorkClass = work_class
 
         # Per-tick accounting, reset by the engine each tick.
         self.busy_in_tick_s = 0.0
@@ -201,26 +207,16 @@ class Task:
         self._advance(sim)
 
     @property
-    def current_work_class(self) -> WorkClass:
-        """The work class of the directive being executed right now."""
-        if isinstance(self._current, Work) and self._current.work_class is not None:
-            return self._current.work_class
-        return self.work_class
-
-    @property
     def remaining_units(self) -> float:
         return self._remaining_units
 
-    def current_activity_factor(self) -> float:
-        """Switching-activity factor of the work being executed."""
-        return self.current_work_class.activity_factor
-
-    def run_for(self, budget_s: float, throughput_fn, sim: "Simulator") -> float:
+    def run_for(self, budget_s: float, throughput, sim: "Simulator") -> float:
         """Execute up to ``budget_s`` seconds of this task on some core.
 
-        ``throughput_fn(work_class) -> units/sec`` encapsulates the core
-        and frequency.  Returns the CPU seconds actually consumed; on
-        return the task either exhausted the budget, blocked, or finished.
+        ``throughput[work_class] -> units/sec`` encapsulates the core,
+        frequency and contention.  Returns the CPU seconds actually
+        consumed; on return the task either exhausted the budget,
+        blocked, or finished.
         """
         if self.state is not TaskState.RUNNABLE:
             raise RuntimeError(f"run_for on non-runnable task {self.name}")
@@ -233,7 +229,7 @@ class Task:
             if self._remaining_units <= _WORK_EPS_UNITS:
                 self._advance(sim)
                 continue
-            tput = throughput_fn(self.current_work_class)
+            tput = throughput[self.current_work_class]
             need_s = self._remaining_units / tput
             dt = min(need_s, budget_s - used)
             self._remaining_units -= dt * tput
@@ -292,15 +288,21 @@ class Task:
             except StopIteration:
                 self.state = TaskState.FINISHED
                 self._current = None
+                self.current_work_class = self.work_class
                 sim.on_task_finished(self)
                 return
             self._current = directive
             if isinstance(directive, Work):
+                work_class = directive.work_class
+                self.current_work_class = (
+                    self.work_class if work_class is None else work_class
+                )
                 if directive.units <= _WORK_EPS_UNITS:
                     continue
                 self._remaining_units = directive.units
                 self.state = TaskState.RUNNABLE
                 return
+            self.current_work_class = self.work_class
             if isinstance(directive, Sleep):
                 wake = sim.tick_for_time(sim.now_s + directive.seconds)
                 if wake <= sim.tick:

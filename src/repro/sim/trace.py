@@ -60,55 +60,62 @@ class Trace:
         self._wakeups[i] = wakeups
         self._len += 1
 
-    def record_block(
-        self,
-        n_ticks: int,
-        busy_fractions: list[float],
-        little_freq_khz: int,
-        big_freq_khz: int,
-    ) -> None:
-        """Record ``n_ticks`` consecutive ticks sharing one set of values.
+    def reserve(self, n_ticks: int) -> None:
+        """Append ``n_ticks`` rows whose columns :meth:`fill_rows` writes later.
 
-        The bulk-append twin of :meth:`record`, used by the engine's
-        fast-forward replay to backfill a piecewise-constant span in one
-        vectorized assignment per column.  Values land in the arrays
-        exactly as ``n_ticks`` individual :meth:`record` calls would
-        (identical float32 casts), so fast-forwarded traces stay
-        bit-exact with tick-by-tick recording.  The wakeup and power
-        columns keep their zeros: a span has no wake-ups, and its power
-        is staged in the deferred power pipeline, which fills them.
+        The deferred power pipeline reserves each row as it is staged, so
+        ``len(trace)`` and the capacity check advance tick by tick exactly
+        as with :meth:`record`; the columns read as zeros until the
+        pipeline's flush fills them.
         """
-        if n_ticks <= 0:
-            raise ValueError(f"n_ticks must be positive, got {n_ticks}")
-        i = self._len
-        j = i + n_ticks
+        j = self._len + n_ticks
         if j > self._busy.shape[1]:
             raise RuntimeError(
                 f"trace capacity exceeded: needed {j} ticks but only "
                 f"{self._busy.shape[1]} were preallocated"
             )
-        self._busy[:, i:j] = np.asarray(busy_fractions, dtype=np.float32)[:, None]
-        self._freq[0, i:j] = little_freq_khz
-        self._freq[1, i:j] = big_freq_khz
         self._len = j
 
-    def fill_power(self, indices: np.ndarray, system_mw: np.ndarray,
-                   little_mw: np.ndarray, big_mw: np.ndarray) -> None:
-        """Backfill the power columns at already-recorded ``indices``.
+    def fill_rows(
+        self,
+        start: int,
+        ticks: np.ndarray,
+        busy: np.ndarray,
+        little_freq_khz: np.ndarray,
+        big_freq_khz: np.ndarray,
+        wakeups: np.ndarray,
+        power_mw: np.ndarray,
+        little_cpu_mw: np.ndarray,
+        big_cpu_mw: np.ndarray,
+    ) -> None:
+        """Write every column of reserved rows from ``start`` on.
 
-        Used by the deferred power pipeline: the engine records placeholder
-        power values during the run and the pipeline writes the real ones
-        here in one fancy-indexed assignment per column.  The float32 cast
-        happens at assignment, exactly as in :meth:`record`.
+        The vectorized twin of :meth:`record`, in runs: entry ``k`` of
+        each argument fills ``ticks[k]`` consecutive rows.  ``busy`` has
+        shape ``(n_runs, n_cores)``.  Each value is cast once to its
+        column's dtype, the cast :meth:`record` performs, before it is
+        repeated, so the rows are bit-exact with one scalar record per
+        tick and the temporaries stay at the column's width.
         """
-        if len(indices) and int(indices.max()) >= self._len:
+        ticks = np.asarray(ticks, dtype=np.intp)
+        end = start + int(ticks.sum())
+        if start < 0 or end > self._len:
             raise IndexError(
-                f"fill_power index {int(indices.max())} beyond recorded "
+                f"fill_rows rows {start}..{end - 1} beyond recorded "
                 f"length {self._len}"
             )
-        self._power[indices] = system_mw
-        self._cpu_power[0, indices] = little_mw
-        self._cpu_power[1, indices] = big_mw
+
+        def spread(values, column: np.ndarray) -> np.ndarray:
+            cast = np.asarray(values).astype(column.dtype, copy=False)
+            return np.repeat(cast, ticks, axis=0)
+
+        self._busy[:, start:end] = spread(busy, self._busy).T
+        self._freq[0, start:end] = spread(little_freq_khz, self._freq)
+        self._freq[1, start:end] = spread(big_freq_khz, self._freq)
+        self._wakeups[start:end] = spread(wakeups, self._wakeups)
+        self._power[start:end] = spread(power_mw, self._power)
+        self._cpu_power[0, start:end] = spread(little_cpu_mw, self._cpu_power)
+        self._cpu_power[1, start:end] = spread(big_cpu_mw, self._cpu_power)
 
     def finalize(self) -> None:
         if not self._finalized:

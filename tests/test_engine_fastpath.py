@@ -500,7 +500,7 @@ class TestDeferredPower:
         flush = DeferredPowerPipeline.flush
 
         def counting_flush(pipeline):
-            staged.append(len(pipeline._indices))
+            staged.append(len(pipeline._rows))
             flush(pipeline)
 
         monkeypatch.setattr(DeferredPowerPipeline, "flush", counting_flush)

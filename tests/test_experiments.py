@@ -14,9 +14,15 @@ from repro.experiments.fig04_05_corecompare import (
     run_latency_comparison,
 )
 from repro.experiments.fig06_util_power import run_util_power
-from repro.experiments.fig07_08_coreconfig import run_core_config_sweep
+from repro.experiments.fig07_08_coreconfig import (
+    coreconfig_specs,
+    run_core_config_sweep,
+)
 from repro.experiments.fig09_10_freq import run_frequency_residency
-from repro.experiments.fig11_12_13_params import run_param_sweep
+from repro.experiments.fig11_12_13_params import (
+    param_sweep_specs,
+    run_param_sweep,
+)
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.experiments.table3_4_tlp import run_tlp_tables
 from repro.experiments.table5_efficiency import run_efficiency_table
@@ -136,6 +142,16 @@ class TestCoreConfigSweep:
         # ...and fewer cores never consume more power than the baseline.
         assert power["L2"] > 0.0
         assert power["L2"] >= power["L4+B1"] - 1.0
+
+    def test_baseline_is_the_param_sweep_baseline(self):
+        """On a chip whose full configuration is L4+B4, the Fig 7/8
+        baseline is the Fig 11-13 baseline run, under one cache key."""
+        for seed in (0, 7):
+            core = coreconfig_specs(apps=["photo-editor"], seed=seed)[0]
+            params = param_sweep_specs(apps=["photo-editor"], seed=seed)[0]
+            assert core.core_config is None
+            assert core == params
+            assert core.key() == params.key()
 
 
 class TestStudyBackedExperiments:

@@ -31,6 +31,16 @@ class TestWorkClass:
         with pytest.raises(ValueError):
             WorkClass("w", ilp=-0.1)
 
+    def test_hash_is_the_field_hash_and_survives_pickle(self):
+        import pickle
+
+        work = WorkClass("w", compute_fraction=0.7, wss_kb=300, ilp=0.4)
+        fields = ("w", 0.7, 300, 0.4, 1.0)
+        assert hash(work) == hash(fields)
+        clone = pickle.loads(pickle.dumps(work))
+        assert clone == work and hash(clone) == hash(work)
+        assert {work: 1}[clone] == 1
+
     def test_effective_ipc_interpolates(self):
         full = WorkClass("full", ilp=1.0)
         none = WorkClass("none", ilp=0.0)

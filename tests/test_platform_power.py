@@ -141,30 +141,43 @@ class TestDeferredPowerPipeline:
             afs = [float(rng.uniform(0.5, 1.5)) for _ in range(n_enabled)]
             deeps = [bool(rng.random() < 0.5) for _ in range(n_enabled)]
             rows.append((
-                ticks, int(rng.choice(little)), int(rng.choice(big)),
-                busy, afs, deeps,
+                busy, afs, deeps, int(rng.choice(little)), int(rng.choice(big)),
+                int(rng.integers(0, 5)), ticks,
             ))
-        n_ticks = sum(row[0] for row in rows)
+        n_ticks = sum(row[-1] for row in rows)
 
         block_trace, blocks = self._pipeline(chip, n_ticks)
-        for k, (ticks, f_little, f_big, busy, afs, deeps) in enumerate(rows):
-            block_trace.record_block(ticks, busy, f_little, f_big)
-            blocks.stage(len(block_trace) - ticks, busy, afs, deeps, ticks)
+        for k, row in enumerate(rows):
+            blocks.stage(*row)
+            assert len(block_trace) == sum(r[-1] for r in rows[: k + 1])
             if k == 2:
-                assert not blocks._indices  # rows 0-2 flushed, 3-6 not yet
+                assert not blocks._rows  # rows 0-2 flushed, 3-6 not yet
         blocks.flush()
 
         tick_trace, ticks_pipe = self._pipeline(chip, n_ticks)
-        for ticks, f_little, f_big, busy, afs, deeps in rows:
+        for *inputs, ticks in rows:
             for _ in range(ticks):
-                tick_trace.record(busy, f_little, f_big, 0.0)
-                ticks_pipe.stage(len(tick_trace) - 1, busy, afs, deeps)
+                ticks_pipe.stage(*inputs)
         ticks_pipe.flush()
 
         assert np.all(block_trace.power_mw > 0.0)
         assert np.array_equal(block_trace.power_mw, tick_trace.power_mw)
+        assert np.array_equal(block_trace.busy, tick_trace.busy)
+        assert np.array_equal(block_trace.wakeups, tick_trace.wakeups)
         for core_type in (CoreType.LITTLE, CoreType.BIG):
             assert np.array_equal(
                 block_trace.cpu_power_mw(core_type),
                 tick_trace.cpu_power_mw(core_type),
             )
+            assert np.array_equal(
+                block_trace.freq_khz(core_type), tick_trace.freq_khz(core_type)
+            )
+        # Every column holds the staged inputs, one row per tick.
+        expected_busy = np.repeat(
+            np.asarray([r[0] for r in rows], dtype=np.float32),
+            [r[-1] for r in rows], axis=0,
+        ).T
+        assert np.array_equal(block_trace.busy, expected_busy)
+        assert np.array_equal(
+            block_trace.wakeups, np.repeat([r[5] for r in rows], [r[-1] for r in rows])
+        )

@@ -11,9 +11,14 @@ from repro.core.tlp_matrix import tlp_matrix
 from repro.platform.cache import memory_time_factor, miss_ratio
 from repro.platform.coretypes import CoreType, cortex_a7, cortex_a15
 from repro.platform.opp import linear_voltage_table
-from repro.platform.perfmodel import WorkClass, throughput_units_per_sec
+from repro.platform.perfmodel import (
+    WorkClass,
+    cached_throughput,
+    throughput_units_per_sec,
+)
 from repro.platform.power import PowerModel
 from repro.sched.load import LoadTracker
+from repro.sim.core import ThroughputTable
 from repro.sim.trace import Trace
 from repro.units import LOAD_SCALE
 
@@ -72,6 +77,35 @@ class TestPerfModelProperties:
         t1 = throughput_units_per_sec(A7, freq, work)
         t2 = throughput_units_per_sec(A7, 2 * freq, work)
         assert t2 <= 2 * t1 * (1 + 1e-9)
+
+
+class TestThroughputTableProperties:
+    """``SimCore``'s per-(freq, contention) throughput table."""
+
+    @settings(max_examples=50)
+    @given(
+        works=st.lists(work_classes, min_size=1, max_size=4),
+        big=st.booleans(),
+        freq=little_freqs,
+        contention=st.floats(1.0, 2.0),
+    )
+    def test_equal_work_classes_share_one_entry(self, works, big, freq, contention):
+        core = A15 if big else A7
+        table = ThroughputTable(core, freq, contention)
+        for work in works:
+            twin = WorkClass(
+                work.name, work.compute_fraction, work.wss_kb, work.ilp,
+                work.activity_factor,
+            )
+            assert twin == work and twin is not work
+            assert hash(twin) == hash(work)
+            value = table[work]
+            size = len(table)
+            assert table[twin] == value
+            assert len(table) == size  # the twin hit the same entry
+            assert value == cached_throughput(core, freq, work, contention)
+            assert value == cached_throughput(core, freq, twin, contention)
+        assert len(table) == len(set(works))
 
 
 class TestPowerModelProperties:

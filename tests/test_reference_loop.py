@@ -6,6 +6,8 @@ change inside ``Simulator._step`` moves both sides together.  The
 digests below were recorded from the reference loop itself and do not
 move with it: every Table II app at seed 7 for 2 simulated seconds,
 with the fast paths (idle/busy fast-forward, deferred power) pinned off.
+The default configuration, spans and pipeline staging on, must hit the
+same digests, also when the pipeline flushes every few staged rows.
 It also checks the runqueue invariant the loop counts on: every task on
 a runqueue is RUNNABLE, under each scheduler.
 
@@ -23,6 +25,7 @@ import pytest
 from repro.platform.chip import exynos5422
 from repro.platform.coretypes import CoreType
 from repro.platform.perfmodel import COMPUTE_BOUND
+from repro.platform.power import DeferredPowerPipeline
 from repro.runner.spec import RunSpec, finish_app_run, prepare_app_run
 from repro.sched.cluster_switch import ClusterSwitchingScheduler
 from repro.sched.efficiency_sched import EfficiencyScheduler
@@ -50,13 +53,18 @@ REFERENCE_DIGESTS = {
 }
 
 
-def reference_run(app: str):
-    """Run ``app`` on the reference loop; returns ``(sim, result)``."""
+def pinned_run(app: str, fast: bool):
+    """Run ``app`` with the fast paths on or off; returns ``(sim, result)``."""
     prepared = prepare_app_run(RunSpec(app, seed=SEED, max_seconds=HORIZON_S))
-    assert not prepared.sim.fastpath_enabled
-    assert not prepared.sim.deferred_power_enabled
+    assert prepared.sim.fastpath_enabled is fast
+    assert prepared.sim.deferred_power_enabled is fast
     prepared.sim.run()
     return prepared.sim, finish_app_run(prepared)
+
+
+def reference_run(app: str):
+    """Run ``app`` on the reference loop; returns ``(sim, result)``."""
+    return pinned_run(app, fast=False)
 
 
 def digest(result) -> str:
@@ -81,6 +89,22 @@ def reference_env(monkeypatch):
 def test_reference_digest_pinned(app, reference_env):
     sim, result = reference_run(app)
     assert sim.fastforward_ticks == 0
+    assert digest(result) == REFERENCE_DIGESTS[app]
+
+
+@pytest.mark.parametrize(
+    "flush_threshold", [None, 5], ids=["default-flush", "flush-every-5-rows"]
+)
+@pytest.mark.parametrize("app", MOBILE_APP_NAMES)
+def test_fast_path_digest_pinned(app, flush_threshold, monkeypatch):
+    """Spans and pipeline staging write the reference loop's trace; a
+    small flush threshold flushes staged rows mid-run, next to spans."""
+    monkeypatch.delenv("REPRO_ENGINE_FASTPATH", raising=False)
+    if flush_threshold is not None:
+        monkeypatch.setattr(
+            DeferredPowerPipeline, "_FLUSH_THRESHOLD", flush_threshold
+        )
+    _, result = pinned_run(app, fast=True)
     assert digest(result) == REFERENCE_DIGESTS[app]
 
 

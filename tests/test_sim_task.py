@@ -147,6 +147,48 @@ class TestTaskLifecycle:
         assert task.current_work_class is special
         sim.run()
 
+    def test_current_work_class_follows_each_directive(self):
+        """A ``Work`` with a class runs as that class; every other state
+        (a classless ``Work``, ``Sleep``, ``WaitSignal``, finished) reports
+        the task's own class, which the engine still reads for the
+        activity factor after a task blocks mid-tick."""
+        own = WorkClass("own", compute_fraction=0.9, wss_kb=128)
+        special = WorkClass("special", compute_fraction=0.5, wss_kb=64)
+        chan = Channel("c")
+
+        def behavior(ctx):
+            yield Work(0.001, work_class=special)
+            yield Work(0.001)
+            yield Work(0.001, work_class=special)
+            yield Sleep(0.01)
+            yield Work(0.001, work_class=special)
+            yield WaitSignal(chan)
+            yield Work(0.001, work_class=special)
+
+        sim = make_sim()
+        task = Task("t", behavior, own)
+        sim.spawn(task)
+        seen = [task.current_work_class]
+        for _ in range(7):
+            task._advance(sim)
+            seen.append(task.current_work_class)
+        assert task.state is TaskState.FINISHED
+        assert seen == [special, own, special, own, special, own, special, own]
+
+    def test_zero_length_directives_leave_the_next_class(self):
+        special = WorkClass("special", compute_fraction=0.5, wss_kb=64)
+
+        def behavior(ctx):
+            yield Work(0.0, work_class=special)  # skipped
+            yield Sleep(0.0)  # skipped
+            yield Work(0.001)
+
+        sim = make_sim()
+        task = Task("t", behavior, COMPUTE_BOUND)
+        sim.spawn(task)
+        assert task.current_work_class is COMPUTE_BOUND
+        assert task.remaining_units == 0.001
+
 
 class TestSignalling:
     def test_producer_consumer(self):

@@ -126,9 +126,7 @@ class TestTrimmedAliasing:
     def test_parent_mutation_is_visible_through_view(self):
         trace = make_trace(100)
         view = trace.trimmed(0.02)  # skips 20 ticks
-        idx = np.asarray([50], dtype=np.intp)
-        trace.fill_power(idx, np.asarray([9999.0]), np.asarray([1.0]),
-                         np.asarray([2.0]))
+        trace.fill_rows(50, *row_columns(busy=[0.0] * 4, power=9999.0))
         assert view.power_mw[30] == np.float32(9999.0)
 
     def test_view_is_finalized_and_costs_no_copy(self):
@@ -140,33 +138,47 @@ class TestTrimmedAliasing:
 
 
 class TestFillPower:
-    """Deferred-power backfill matches the per-tick recording cast."""
+    """The deferred backfill of reserved rows matches the per-tick cast."""
 
     def test_matches_record_float32_cast(self):
         value = 123.456789  # not exactly representable in float32
+        busy = [1 / 3, 0.1, 2 / 3, 0.0]
         a = Trace(TYPES, ENABLED, max_ticks=4)
-        a.record([0.0] * 4, 600_000, 800_000, value,
-                 little_cpu_mw=value / 3, big_cpu_mw=value / 7)
+        for wakeups in (3, 4):
+            a.record(busy, 600_000, 800_000, value, wakeups=wakeups,
+                     little_cpu_mw=value / 3, big_cpu_mw=value / 7)
         a.finalize()
         b = Trace(TYPES, ENABLED, max_ticks=4)
-        b.record([0.0] * 4, 600_000, 800_000, 0.0)
-        b.fill_power(np.asarray([0], dtype=np.intp), np.asarray([value]),
-                     np.asarray([value / 3]), np.asarray([value / 7]))
+        b.reserve(2)
+        b.fill_rows(
+            0, [1, 1], [busy, busy], [600_000] * 2, [800_000] * 2, [3, 4],
+            [value] * 2, [value / 3] * 2, [value / 7] * 2,
+        )
         b.finalize()
+        assert np.array_equal(a.busy, b.busy)
         assert np.array_equal(a.power_mw, b.power_mw)
+        assert np.array_equal(a.wakeups, b.wakeups)
         for ct in (CoreType.LITTLE, CoreType.BIG):
+            assert np.array_equal(a.freq_khz(ct), b.freq_khz(ct))
             assert np.array_equal(a.cpu_power_mw(ct), b.cpu_power_mw(ct))
 
     def test_rejects_unrecorded_index(self):
         trace = Trace(TYPES, ENABLED, max_ticks=10)
-        trace.record([0.0] * 4, 600_000, 800_000, 0.0)
+        trace.reserve(1)
         with pytest.raises(IndexError, match="beyond recorded length"):
-            trace.fill_power(np.asarray([5], dtype=np.intp),
-                             np.asarray([1.0]), np.asarray([0.0]),
-                             np.asarray([0.0]))
+            trace.fill_rows(5, *row_columns(busy=[0.0] * 4, power=1.0))
+        with pytest.raises(RuntimeError, match="capacity exceeded"):
+            trace.reserve(10)
+        assert len(trace) == 1
 
     def test_empty_indices_is_noop(self):
         trace = make_trace(10)
-        empty = np.asarray([], dtype=np.intp)
-        trace.fill_power(empty, empty.astype(np.float64),
-                         empty.astype(np.float64), empty.astype(np.float64))
+        empty = np.asarray([], dtype=np.float64)
+        trace.fill_rows(10, [], np.zeros((0, 4)), empty, empty, empty, empty,
+                        empty, empty)
+        assert len(trace) == 10
+
+
+def row_columns(busy, power):
+    """``fill_rows`` arguments after the start index for one row."""
+    return [1], [busy], [600_000], [800_000], [0], [power], [1.0], [2.0]
