@@ -1,12 +1,20 @@
 # Convenience targets for the biglittle-repro repository.
 
-.PHONY: install test claims bench bench-trace dist-smoke artifacts calibrate examples clean
+.PHONY: install test reference-loop claims bench bench-trace dist-smoke artifacts calibrate examples clean
 
 install:
 	pip install -e .
 
 test:
 	PYTHONPATH=src python -m pytest tests/ -q
+
+# The engine's per-tick tests on the reference tick loop alone (fast
+# paths pinned off); CI runs this target.
+reference-loop:
+	REPRO_ENGINE_FASTPATH=0 PYTHONPATH=src python -m pytest -q \
+		tests/test_sim_engine.py tests/test_sched_hmp.py \
+		tests/test_memory_contention.py tests/test_sim_task.py \
+		tests/test_taskstats.py
 
 # The paper's findings as executable checks (about two minutes).
 claims:

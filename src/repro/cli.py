@@ -401,6 +401,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_runner_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=_positive_int, default=None,
                         help="worker processes (default: all cores; 1 = serial)")
@@ -443,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser("profile", help="per-task execution profile of one app")
     p_prof.add_argument("app", choices=MOBILE_APP_NAMES)
     p_prof.add_argument("--seed", type=int, default=0)
-    p_prof.add_argument("--top", type=int, default=15)
+    p_prof.add_argument("--top", type=_positive_int, default=15)
     p_prof.set_defaults(func=_cmd_profile)
 
     p_cprof = sub.add_parser(
@@ -481,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tl = sub.add_parser("timeline", help="ASCII activity/frequency timeline")
     p_tl.add_argument("app", choices=MOBILE_APP_NAMES)
     p_tl.add_argument("--seed", type=int, default=0)
-    p_tl.add_argument("--width", type=int, default=72)
+    p_tl.add_argument("--width", type=_positive_int, default=72)
     p_tl.set_defaults(func=_cmd_timeline)
 
     p_rep = sub.add_parser("report", help="comprehensive single-app report")
@@ -507,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: app-family convention)")
     p_batch.add_argument("--timeout", type=float, default=None,
                          help="per-job wall-clock timeout in seconds")
-    p_batch.add_argument("--retries", type=int, default=1,
+    p_batch.add_argument("--retries", type=_non_negative_int, default=1,
                          help="re-executions for crashed/failed jobs (default: 1)")
     p_batch.add_argument("--json", metavar="PATH", default=None,
                          help="also write the batch report as JSON")
@@ -576,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write the frontier artifact as JSON")
     p_explore.add_argument("--timeout", type=float, default=None,
                            help="per-job wall-clock timeout in seconds")
-    p_explore.add_argument("--retries", type=int, default=1,
+    p_explore.add_argument("--retries", type=_non_negative_int, default=1,
                            help="re-executions for crashed/failed jobs "
                                 "(default: 1)")
     _add_runner_options(p_explore)

@@ -4,7 +4,7 @@ The simulator's :class:`~repro.sim.trace.Trace` answers *what* happened
 each tick (busy fractions, frequencies, power); the events here answer
 *why*: which task the HMP pass migrated and in which direction, what
 made a governor change its OPP, when an input boost fired, where the
-engine fast-forwarded over idle time.  Experiments that previously
+engine fast-forwarded over an idle or busy span.  Experiments that previously
 reverse-engineered scheduler intent from the raw per-tick arrays
 (Figures 9-13, Table V) can consume these records directly.
 
@@ -25,8 +25,8 @@ Design constraints:
   cheap to allocate on the hot path when observation *is* enabled.
 
 Ticks are stamped by the bus: :meth:`EventBus.emit` fills ``tick`` from
-its clock unless the emitter already set it (the idle fast-forward
-replays governor decisions with explicit historical ticks).
+its clock unless the emitter already set it (a fast-forward span, idle
+or busy, replays governor decisions with explicit historical ticks).
 """
 
 from __future__ import annotations
@@ -270,8 +270,8 @@ class EventBus:
     def muted(self) -> Iterator[None]:
         """Suppress emissions inside the block.
 
-        Used by the engine's idle fast-forward: governors replay their
-        idle evolution through the ordinary ``set_freq`` path, whose
+        Used by the engine's fast-forward spans, idle and busy: governors
+        replay the span through the ordinary ``set_freq`` path, whose
         emissions would carry the span's *start* tick; the engine mutes
         that replay and re-emits the changes with their exact historical
         ticks instead.

@@ -8,8 +8,8 @@ The Perfetto export emits the legacy Chrome ``traceEvents`` JSON format
   workloads are mostly idle, so this stays small even for long runs;
 - **instant events** on a dedicated "decisions" thread for migrations,
   OPP changes, input boosts, thermal caps, and cluster switches;
-- **duration events** on an "engine" thread for the idle fast-forward
-  spans.
+- **duration events** on an "engine" thread for the fast-forward spans,
+  idle and busy.
 
 One simulated tick is 1 ms; trace-event timestamps are microseconds, so
 ``ts = tick * 1000``.

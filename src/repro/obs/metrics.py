@@ -59,8 +59,9 @@ __all__ = [
     "reset_global_metrics",
 ]
 
-#: Fixed bucket edges for the idle fast-forward span-length histogram
-#: (ticks).  Spans shorter than the engine's minimum never occur.
+#: Fixed bucket edges for the fast-forward span-length histogram (ticks;
+#: idle and busy spans share it).  Spans shorter than the engine's
+#: minimum never occur.
 FASTFORWARD_BUCKETS_TICKS: tuple[int, ...] = (
     8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384,
 )

@@ -194,7 +194,7 @@ class DeferredPowerPipeline:
     (:meth:`Trace.fill_rows`).
 
     **Bit-exactness contract** (verified by the golden-trace suite): the
-    vectorized arithmetic reproduces ``Simulator._record_tick``'s scalar
+    vectorized arithmetic reproduces ``Simulator._record``'s scalar
     arithmetic operation for operation —
 
     - per-OPP prefactors (``static_mw_per_v * V`` and
@@ -301,7 +301,7 @@ class DeferredPowerPipeline:
                 static_active[pos], dyn_prefactor[pos], ifrac, dfrac
             )
 
-        # Sequential left folds in core order, exactly as _record_tick
+        # Sequential left folds in core order, exactly as _record
         # accumulates (0.0 + x == x for the positive powers involved).
         core_sum = np.zeros(n, dtype=np.float64)
         little_sum = np.zeros(n, dtype=np.float64)

@@ -117,14 +117,6 @@ class BatchReport:
     def succeeded(self) -> bool:
         return self.failed_count == 0
 
-    def metrics_snapshots(self) -> dict[int, dict]:
-        """Observability snapshots by job index (``observe=True`` jobs only)."""
-        return {
-            i: r.metrics
-            for i, r in enumerate(self.results)
-            if r is not None and r.metrics is not None
-        }
-
     def throughput_jobs_per_s(self) -> float:
         """Completed simulations (cache hits excluded) per wall second."""
         if self.wall_s <= 0:

@@ -88,19 +88,24 @@ class ClusterFreqDomain:
 _NO_BUSY: dict[int, float] = {}
 
 
+def _accrued(window_s: float, add: float, n_ticks: int) -> float:
+    """``window_s`` after ``n_ticks`` ticks that each add ``add`` busy
+    seconds, added one tick at a time (a tight loop, not a product, so
+    the sum is bit-exact with per-tick accumulation)."""
+    for _ in range(n_ticks):
+        window_s += add
+    return window_s
+
+
 def _accrue_windows(
     cores: list[SimCore], busy_by_core: dict[int, float], n_ticks: int
 ) -> None:
-    """Add ``n_ticks`` ticks of each core's constant busy seconds to its
-    ``busy_in_window_s``, one tick at a time (a tight loop, not a
-    product, so the sum is bit-exact with per-tick accumulation)."""
+    """Accrue ``n_ticks`` ticks of each core's constant busy seconds into
+    its ``busy_in_window_s``."""
     for core in cores:
         add = busy_by_core.get(core.core_id, 0.0)
         if add != 0.0:
-            v = core.busy_in_window_s
-            for _ in range(n_ticks):
-                v += add
-            core.busy_in_window_s = v
+            core.busy_in_window_s = _accrued(core.busy_in_window_s, add, n_ticks)
 
 
 class Governor:
@@ -296,10 +301,7 @@ class InteractiveGovernor(Governor):
             step = min(n_ticks - done, sampling - window_ticks)
             for k, add in enumerate(adds):
                 if add != 0.0:
-                    v = window[k]
-                    for _ in range(step):
-                        v += add
-                    window[k] = v
+                    window[k] = _accrued(window[k], add, step)
             window_ticks += step
             since_raise += step
             if boost > 0:

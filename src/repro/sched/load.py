@@ -9,15 +9,27 @@ Two fidelity details from the paper:
 
 - the load is **normalized by the current clock frequency** ("the
   scheduler requires an absolute load value independent from the current
-  clock frequency"), handled by the caller scaling the per-tick sample;
+  clock frequency"), in the per-tick :func:`load_sample`;
 - **sleeping tasks are not updated** ("If a task enters the sleep state,
   its load is not updated"), so bursty tasks keep their high load across
-  idle gaps — update() is simply not called for sleeping ticks.
+  idle gaps — the one fold, :meth:`LoadTracker.advance`, is simply not
+  called for sleeping ticks.
 """
 
 from __future__ import annotations
 
 from repro.units import LOAD_SCALE, TICK_MS
+
+
+def load_sample(
+    busy_s: float, nr_running: int, tick_s: float, freq_khz: int, max_khz: int
+) -> float:
+    """One tick's frequency-normalized load sample (0..1024) of a task that
+    ran ``busy_s`` seconds of the tick on a core that started it with
+    ``nr_running`` runnable tasks: the runnable fraction, scaled by the
+    core's current over its maximum frequency."""
+    runnable_frac = min(1.0, busy_s * nr_running / tick_s)
+    return runnable_frac * (freq_khz / max_khz) * LOAD_SCALE
 
 
 def decay_per_tick(halflife_ms: float) -> float:
@@ -42,16 +54,6 @@ class LoadTracker:
     def value(self) -> float:
         """Current load average in [0, 1024]."""
         return self._value
-
-    def update(self, sample: float) -> float:
-        """Fold in one tick's load sample (0..1024) and return the average:
-        the one-tick :meth:`advance`."""
-        return self.advance(sample, 1)
-
-    @property
-    def decay_factor(self) -> float:
-        """Per-tick geometric decay factor (0.5 ** (TICK_MS / halflife))."""
-        return self._decay
 
     def advance(self, sample: float, ticks: int) -> float:
         """Fold in ``ticks`` consecutive identical samples and return the average.
@@ -78,6 +80,28 @@ class LoadTracker:
             ticks -= 1
         self._value = v
         return v
+
+    def first_crossing(
+        self,
+        sample: float,
+        ticks: int,
+        threshold: float,
+        rising: bool,
+        value: float | None = None,
+    ) -> tuple[int, float]:
+        """Dry-run :meth:`advance` from ``value`` (default: the average),
+        stopping after the first fold above ``threshold`` (``rising``) or
+        below it.  Returns ``(j, v)``: that fold's 0-based tick, else
+        ``ticks``, and the average after the last fold made.  Commits
+        nothing; segments chain by passing ``v`` back as ``value``."""
+        d = self._decay
+        contrib = (1.0 - d) * sample
+        v = self._value if value is None else value
+        for j in range(ticks):
+            v = d * v + contrib
+            if (v > threshold) if rising else (v < threshold):
+                return j, v
+        return ticks, v
 
     def decay(self, ticks: int) -> float:
         """Age the average over ``ticks`` of sleep (no new samples).

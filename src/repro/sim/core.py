@@ -107,6 +107,15 @@ class SimCore:
         task.last_core_id = self.core_id
         task.core_id = None
 
+    def throughput(self, freq_khz: int, memory_contention: float) -> ThroughputTable:
+        """This core's throughput table at one ``(freq_khz, contention)``
+        point: the one lookup of execution, span replay and span probe."""
+        key = (freq_khz, memory_contention)
+        table = self._tput.get(key)
+        if table is None:
+            table = self._tput[key] = ThroughputTable(self.spec, *key)
+        return table
+
     def begin_tick(self) -> None:
         self.busy_in_tick_s = 0.0
         self.activity_weighted_s = 0.0
@@ -137,10 +146,7 @@ class SimCore:
         remaining = tick_s
         # Frequency and contention are fixed for the whole tick, so one
         # throughput table serves every task and water-filling round.
-        key = (self.freq_khz, self.memory_contention)
-        throughput = self._tput.get(key)
-        if throughput is None:
-            throughput = self._tput[key] = ThroughputTable(self.spec, *key)
+        throughput = self.throughput(self.freq_khz, self.memory_contention)
         # Tasks woken mid-loop by other cores' posts are handled next tick,
         # so snapshot the runnable set per water-filling round.
         while remaining > _TIME_EPS_S:
@@ -165,9 +171,6 @@ class SimCore:
                 # to float error.
                 break
         self.busy_in_window_s += self.busy_in_tick_s
-
-    def busy_fraction(self, tick_s: float) -> float:
-        return min(1.0, self.busy_in_tick_s / tick_s)
 
     def mean_activity_factor(self) -> float:
         """CPU-time-weighted activity factor of work run this tick."""

@@ -43,26 +43,28 @@ paths are pinned off with ``SimConfig(fastpath=False)`` or
 ``REPRO_ENGINE_FASTPATH=0``.
 
 **One tick path.**  ``_step`` (a reference tick) and ``_fast_forward``
-(a span) are two entry points over shared phases; the reference tick runs
-each phase that has a span form as a one-tick span.  Loads fold through
-``LoadTracker.advance(sample, 1)``; :meth:`InteractiveGovernor.tick` is
-a one-tick ``tick_span(commit=True)``; and record has one
-implementation per mode.  With no thermal/GPU feedback (nothing in the
-run reads the trace) both stage each row's inputs into
+(a span) run one implementation of each phase that has a span form, the
+reference tick as a one-tick span: :meth:`_begin` starts every core's
+tick; throughput comes from :meth:`SimCore.throughput`; loads fold
+:func:`repro.sched.load.load_sample` through ``LoadTracker.advance``
+(the span probe dry-runs that fold with ``LoadTracker.first_crossing``);
+:meth:`InteractiveGovernor.tick` is a one-tick ``tick_span(commit=True)``;
+and :meth:`_record` builds every trace row.  With no thermal/GPU
+feedback (nothing in the run reads the trace) it stages each row into
 :class:`repro.platform.power.DeferredPowerPipeline` — a 1-tick row per
 reference tick, one multi-tick row per constant-power span segment —
 which is then the only writer of every trace column: it computes power
 and writes all columns vectorized at each flush.  A span writes no
 trace column, so it requires the pipeline: ``fastpath_enabled`` implies
 ``deferred_power_enabled``, and spans refuse while tick hooks (the one
-other thing that keeps the pipeline off) are set.  ``_record_tick``'s
-scalar :meth:`Trace.record` with per-tick power is the oracle, used by
-pinned-off, thermal, GPU and tick-hook runs.  Execution keeps two
-forms, ``Task.run_for`` water-filling per tick and
-``Task.fastforward_steady`` per span segment: a reference tick can
-finish a directive mid-tick and run the next one or hand its unused
-share to other tasks, which a span, cut one decrement short of any
-exhaustion, never does.
+other thing that keeps the pipeline off) are set.  Otherwise
+``_record`` feeds the row to the scalar :meth:`Trace.record` with
+per-tick power, the oracle, used by pinned-off, thermal, GPU and
+tick-hook runs.  Execution keeps two forms, ``Task.run_for``
+water-filling per tick and ``Task.fastforward_steady`` per span
+segment: a reference tick can finish a directive mid-tick and run the
+next one or hand its unused share to other tasks, which a span, cut one
+decrement short of any exhaustion, never does.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ from repro.obs.events import (
 from repro.platform.chip import ChipSpec, CoreConfig, exynos5422
 from repro.platform.coretypes import CoreType
 from repro.platform.gpu import GpuSpec
-from repro.platform.perfmodel import cached_throughput
 from repro.platform.power import DeferredPowerPipeline
 from repro.platform.thermal import ThermalModel, ThermalParams
 from repro.sim.gpu import GpuDevice
@@ -98,13 +99,13 @@ from repro.sched.governor import (
     InteractiveGovernor,
 )
 from repro.sched.hmp import HMPScheduler
-from repro.sched.load import LoadTracker
+from repro.sched.load import LoadTracker, load_sample
 from repro.sched.params import SchedulerConfig, baseline_config
 from repro.sim.core import SimCore
 from repro.sim.rng import RngStream
 from repro.sim.task import Channel, Task, TaskState
 from repro.sim.trace import Trace
-from repro.units import LOAD_SCALE, TICK_MS
+from repro.units import TICK_MS
 
 #: Shortest span worth the fast-forward setup cost; shorter spans fall
 #: through to the (equivalent) reference steps.
@@ -363,10 +364,10 @@ class Simulator:
         """Install an event bus on the engine, scheduler, and domains.
 
         Unlike :meth:`add_tick_hook`, an observer does **not** disable
-        the idle fast-forward: events record decisions without feeding
-        back into them, so traces stay bit-exact with the unobserved
-        run (fast-forwarded governor decisions are re-emitted with
-        their historical ticks).  Most callers want
+        fast-forward spans, idle or busy: events record decisions
+        without feeding back into them, so traces stay bit-exact with
+        the unobserved run (fast-forwarded governor decisions are
+        re-emitted with their historical ticks).  Most callers want
         :meth:`repro.obs.Observation.attach`, which also wires a
         metrics collector.
         """
@@ -606,14 +607,14 @@ class Simulator:
         for core in busy_cores:
             n_rq = len(core.runqueue)
             share = tick_s / n_rq
-            min_khz = self.domains[core.core_type].opp_table.min_khz
+            min_tput = core.throughput(
+                self.domains[core.core_type].opp_table.min_khz, contention
+            )
             for task in core.runqueue:
                 # Throughput is monotone in frequency, so the min-OPP
                 # rate bounds how long the work can last at any
                 # frequency the governor might pick inside the span.
-                dec_min = share * cached_throughput(
-                    core.spec, min_khz, task.current_work_class, contention
-                )
+                dec_min = share * min_tput[task.current_work_class]
                 if dec_min <= 0.0:
                     return 0, None
                 horizon = min(horizon, int(task.remaining_units / dec_min) - 1)
@@ -628,10 +629,7 @@ class Simulator:
             for _ in range(n_rq):
                 b += share
             busy_by_core[core.core_id] = b
-        changes: dict[CoreType, list[tuple[int, int]]] = {
-            CoreType.LITTLE: [],
-            CoreType.BIG: [],
-        }
+        changes = {CoreType.LITTLE: [], CoreType.BIG: []}
         for governor, domain in self._governed:
             span_changes = governor.tick_span(
                 domain, tick, horizon, tick_s, busy_by_core, commit=False
@@ -655,9 +653,7 @@ class Simulator:
                 for seg_start, seg_end, khz in segs:
                     if seg_start >= horizon:
                         break
-                    dec = share * cached_throughput(
-                        core.spec, khz, work_class, contention
-                    )
+                    dec = share * core.throughput(khz, contention)[work_class]
                     fit = int(rem / dec) - 1
                     if fit < seg_end - seg_start:
                         horizon = min(horizon, seg_start + fit)
@@ -714,19 +710,20 @@ class Simulator:
     ) -> int:
         """Largest span prefix in which no reachable load threshold fires.
 
-        Replays every queued task's load EWMA with the exact per-tick
-        arithmetic of :meth:`_update_loads` (samples change only at the
-        governors' replayed frequency ``segments``, which may run past
-        ``n``), checking the threshold the HMP guard says is reachable
-        for the task's cluster after each update.  A crossing predicted
-        at offset ``j`` means the migration pass at span tick ``j`` would
-        move the task, so only ``j`` ticks are safe to fast-forward.
+        Dry-runs every queued task's load fold
+        (:meth:`LoadTracker.first_crossing`) with the per-tick samples of
+        the replay (they change only at the governors' replayed frequency
+        ``segments``, which may run past ``n``), against the threshold
+        the HMP guard says is reachable for the task's cluster.  A
+        crossing predicted at offset ``j`` means the migration pass at
+        span tick ``j`` would move the task, so only ``j`` ticks are safe
+        to fast-forward.
         """
         safe = n
         tick_s = self.tick_s
         for core, n_rq, share in core_plans:
-            is_little = core.core_type is CoreType.LITTLE
-            if is_little:
+            rising = core.core_type is CoreType.LITTLE
+            if rising:
                 if not guard.up_possible:
                     continue
                 threshold = guard.up_threshold
@@ -734,27 +731,20 @@ class Simulator:
                 if not guard.down_possible:
                     continue
                 threshold = guard.down_threshold
-            segs = segments[core.core_type]
             max_khz = core.max_freq_khz
-            runnable_frac = min(1.0, share * n_rq / tick_s)
             for task in core.runqueue:
-                v = task.load.value
-                d = task.load.decay_factor
-                crossed = False
-                for seg_start, seg_end, khz in segs:
+                load = task.load
+                v = load.value
+                for seg_start, seg_end, khz in segments[core.core_type]:
                     if seg_start >= safe:
                         break
-                    end = min(seg_end, safe)
-                    freq_scale = khz / max_khz
-                    sample = runnable_frac * freq_scale * LOAD_SCALE
-                    contrib = (1.0 - d) * sample
-                    for j in range(seg_start, end):
-                        v = d * v + contrib
-                        if (v > threshold) if is_little else (v < threshold):
-                            safe = j
-                            crossed = True
-                            break
-                    if crossed:
+                    ticks = min(seg_end, safe) - seg_start
+                    j, v = load.first_crossing(
+                        load_sample(share, n_rq, tick_s, khz, max_khz),
+                        ticks, threshold, rising, v,
+                    )
+                    if j < ticks:
+                        safe = seg_start + j
                         break
                 if safe == 0:
                     return 0
@@ -767,25 +757,24 @@ class Simulator:
         each consume one constant processor-sharing slice per tick (an
         idle span has none), the scheduler pass cannot move anything,
         and the governors' decisions depend only on the (constant)
-        per-tick window accumulation.  Governors commit their span replay
-        (``tick_span(commit=True)``; domains are independent, so
-        per-domain batching matches the reference interleaving), task
-        loads advance through :meth:`LoadTracker.advance` and work
-        through :meth:`Task.fastforward_steady` per frequency segment,
-        and the trace's piecewise-constant segments are each staged as
-        one multi-tick power pipeline row.
+        per-tick window accumulation.  The span runs the reference
+        tick's phases: it begins the tick on every core (:meth:`_begin`);
+        governors commit their span replay (``tick_span(commit=True)``;
+        domains are independent, so per-domain batching matches the
+        reference interleaving); task loads advance through
+        :meth:`LoadTracker.advance` and work through
+        :meth:`Task.fastforward_steady` per frequency segment; and
+        :meth:`_record` records each piecewise-constant trace segment as
+        one multi-tick row.
         """
         core_plans, busy_by_core, contention = plan
         start = self.tick
         tick_s = self.tick_s
-        deep_entry = self._deep_entry_ticks
         freq_little = self._dom_little.freq_khz
         freq_big = self._dom_big.freq_khz
+        self._begin()
 
-        changes: dict[CoreType, list[tuple[int, int]]] = {
-            CoreType.LITTLE: [],
-            CoreType.BIG: [],
-        }
+        changes = {CoreType.LITTLE: [], CoreType.BIG: []}
         obs = self.obs
         if obs is not None:
             span_event = BusyFastForward if core_plans else IdleFastForward
@@ -815,67 +804,37 @@ class Simulator:
         for core, n_rq, share in core_plans:
             segs = exec_segments[core.core_type]
             max_khz = core.max_freq_khz
-            runnable_frac = min(1.0, share * n_rq / tick_s)
             aw = 0.0
             for task in core.runqueue:
                 for seg_start, seg_end, khz in segs:
                     seg_len = seg_end - seg_start
-                    freq_scale = khz / max_khz
                     task.load.advance(
-                        runnable_frac * freq_scale * LOAD_SCALE, seg_len
+                        load_sample(share, n_rq, tick_s, khz, max_khz), seg_len
                     )
                     task.fastforward_steady(
                         share,
-                        cached_throughput(
-                            core.spec, khz, task.current_work_class, contention
-                        ),
+                        core.throughput(khz, contention)[task.current_work_class],
                         seg_len,
                     )
-                task.runnable_at_tick_start = True
                 aw += share * task.current_work_class.activity_factor
             core.busy_in_tick_s = busy_by_core[core.core_id]
             core.activity_weighted_s = aw
-            core.tick_tasks = list(core.runqueue)
-            core.nr_start = n_rq
-            core.memory_contention = contention
 
-        # Each enabled core's power inputs are constant over the span,
-        # except that an idle core enters deep idle at most once.  The
-        # trace is piecewise-constant between span ends, governor changes
-        # (recorded at their offset) and those deep-idle entries; each
-        # piece is staged as one multi-tick row of the power pipeline,
-        # which reference ticks stage into too.
-        dp = self._deferred
-        assert dp is not None, "spans run only with the deferred power pipeline"
-        busy_all = [0.0] * len(self.cores)
-        afs = []
-        # Per enabled core, its idle-tick count at span start (None for a
-        # busy core, which never enters deep idle).
-        idle_bases = []
+        # The trace is piecewise-constant between span ends, governor
+        # changes (recorded at their offset) and idle cores' deep-idle
+        # entries; each piece is recorded as one multi-tick row.
+        assert self._deferred is not None, "spans need the deferred power pipeline"
         cuts = {0, n}
         for change_list in changes.values():
             for offset, _ in change_list:
                 cuts.add(offset)
-        deep_min = math.ceil(deep_entry)  # smallest idle-tick count that is deep
+        deep_min = math.ceil(self._deep_entry_ticks)  # smallest deep idle-tick count
         for core in self._enabled_cores:
-            if core.core_id in busy_by_core:
-                busy_all[core.core_id] = core.busy_fraction(tick_s)
-                afs.append(core.mean_activity_factor())
-                idle_bases.append(None)
-                core.idle_ticks = 0
-                continue
-            if core.tick_tasks:
-                # The per-tick reset the span's first tick would apply.
-                core.clear_tick()
-            base = core.idle_ticks
-            crossing = deep_min - base - 1
-            if 0 < crossing < n:
-                cuts.add(crossing)
-            afs.append(1.0)
-            idle_bases.append(base)
-            core.idle_ticks = base + n
-        busy_deep = 0 >= deep_entry
-
+            if core.core_id not in busy_by_core:
+                # The offset of the core's first deep tick (see _record).
+                crossing = deep_min - core.idle_ticks - 1
+                if 0 < crossing < n:
+                    cuts.add(crossing)
         i_little = i_big = 0
         ordered_cuts = sorted(cuts)
         for a, b in zip(ordered_cuts, ordered_cuts[1:]):
@@ -885,16 +844,8 @@ class Simulator:
             while i_big < len(big_changes) and big_changes[i_big][0] <= a:
                 freq_big = big_changes[i_big][1]
                 i_big += 1
-            # Same comparison as _record_tick: after this tick's increment
-            # an idle core has been idle base + a + 1 ticks.
-            deeps = [
-                busy_deep if base is None else base + a + 1 >= deep_entry
-                for base in idle_bases
-            ]
-            dp.stage(busy_all, afs, deeps, freq_little, freq_big, 0, b - a)
+            self._record(b - a, freq_little, freq_big, 0)
 
-        # Every busy core accrues a positive busy time each tick.
-        self._busy_cores_prev = len(core_plans)
         self._wakeups_this_tick = 0
         self.tick = start + n
         self.fastforward_spans += 1
@@ -907,23 +858,8 @@ class Simulator:
         self._wakeups_this_tick = 0
         self._process_wakeups()
 
-        # Only cores with queued work begin and execute the tick (every
-        # begin before any execute); idle cores just drop the previous
-        # tick's accounting.  A core idle here cannot gain work it would
-        # run this tick: the only mid-tick enqueue is a spawn, and a
-        # spawned task is not ``runnable_at_tick_start``.  DRAM
-        # contention comes from the previous tick's busy core count
-        # (one-tick lag keeps the computation causal).
-        contention = self._contention[self._busy_cores_prev]
-        busy = []
-        for core in self.cores:
-            if core.runqueue:
-                core.begin_tick()
-                core.memory_contention = contention
-                busy.append(core)
-            elif core.tick_tasks:
-                core.clear_tick()
         tick_s = self.tick_s
+        busy = self._begin()
         for core in busy:
             core.execute_tick(tick_s, self)
 
@@ -934,8 +870,33 @@ class Simulator:
         for governor, domain in self._governed:
             governor.tick(domain, self.tick, tick_s)
 
-        self._record_tick()
+        self._record(
+            1, self._dom_little.freq_khz, self._dom_big.freq_khz,
+            self._wakeups_this_tick,
+        )
         self.tick += 1
+
+    def _begin(self) -> list[SimCore]:
+        """Begin the tick on every core with queued work and return them,
+        so every begin runs before any execute.
+
+        Idle cores just drop the previous tick's accounting.  A core idle
+        here cannot gain work it would run this tick: the only mid-tick
+        enqueue is a spawn, and a spawned task is not
+        ``runnable_at_tick_start``.  DRAM contention comes from the
+        previous tick's busy core count (one-tick lag keeps the
+        computation causal).
+        """
+        contention = self._contention[self._busy_cores_prev]
+        busy = []
+        for core in self.cores:
+            if core.runqueue:
+                core.begin_tick()
+                core.memory_contention = contention
+                busy.append(core)
+            elif core.tick_tasks:
+                core.clear_tick()
+        return busy
 
     def _update_loads(self, cores: list[SimCore]) -> None:
         """Frequency-normalized per-task load samples (Algorithm 1 step 1).
@@ -943,51 +904,60 @@ class Simulator:
         ``cores`` are the cores that began this tick; every other core
         has no ``tick_tasks``.
         """
+        tick_s = self.tick_s
         for core in cores:
             if not core.enabled:
                 continue
-            freq_scale = core.freq_khz / core.max_freq_khz
+            freq_khz = core.freq_khz
+            max_khz = core.max_freq_khz
             n = max(1, core.nr_start)
             for task in core.tick_tasks:
                 if task.state is TaskState.FINISHED:
                     continue
-                runnable_frac = min(1.0, task.busy_in_tick_s * n / self.tick_s)
-                task.load.advance(runnable_frac * freq_scale * LOAD_SCALE, 1)
+                sample = load_sample(task.busy_in_tick_s, n, tick_s, freq_khz, max_khz)
+                task.load.advance(sample, 1)
 
-    def _record_tick(self) -> None:
+    def _record(self, ticks: int, little_khz: int, big_khz: int, wakeups: int) -> None:
+        """Record the next ``ticks`` trace rows, all equal: the record
+        phase of a reference tick (one row) and of a constant span segment.
+
+        Busy fractions cover all cores, activity factors and deep-idle
+        flags enabled cores; a row starts all-idle (0.0, 1.0) and busy
+        cores overwrite their entries.  cpuidle: WFI at once, deep
+        power-down once idle past the threshold at the row's first tick
+        (spans cut rows at deep-idle entries).  Advances ``idle_ticks``
+        and sets ``_busy_cores_prev``.  The row is staged into the
+        deferred power pipeline, or else recorded by the scalar oracle:
+        one reference tick with per-tick power, at the domains'
+        frequencies after any thermal cap.
+        """
         deep_entry_ticks = self._deep_entry_ticks
         tick_s = self.tick_s
-        dom_little = self._dom_little
-        dom_big = self._dom_big
-        # Busy fractions cover all cores; activity factors and deep-idle
-        # flags cover enabled cores.  The rows start as all-idle (busy
-        # fraction 0.0, activity factor 1.0) and busy cores overwrite
-        # their entries.  cpuidle: WFI immediately; deep power-down after
-        # the core has been continuously idle past the threshold.
         enabled = self._enabled_cores
         busy = [0.0] * len(self.cores)
         afs = [1.0] * len(enabled)
+        deeps = []
         n_busy = 0
         for k, core in enumerate(enabled):
             busy_s = core.busy_in_tick_s
             if busy_s <= 0.0:
-                core.idle_ticks += 1
+                idle = core.idle_ticks + 1
+                core.idle_ticks += ticks
             else:
                 busy[core.core_id] = min(1.0, busy_s / tick_s)
                 afs[k] = core.activity_weighted_s / busy_s
-                core.idle_ticks = 0
+                idle = core.idle_ticks = 0
                 n_busy += 1
-        deeps = [core.idle_ticks >= deep_entry_ticks for core in enabled]
+            deeps.append(idle >= deep_entry_ticks)
         self._busy_cores_prev = n_busy
         dp = self._deferred
         if dp is not None:
-            # Stage a 1-tick pipeline row, which writes the whole trace
-            # row at its flush; the scalar path below is its oracle.
-            dp.stage(
-                busy, afs, deeps, dom_little.freq_khz, dom_big.freq_khz,
-                self._wakeups_this_tick,
-            )
+            # Stage a pipeline row, which writes the trace rows at its
+            # flush; the scalar path below is its oracle.
+            dp.stage(busy, afs, deeps, little_khz, big_khz, wakeups, ticks)
             return
+        dom_little = self._dom_little
+        dom_big = self._dom_big
         pm = self._pm
         # Cluster voltage is shared; evaluate it once per tick per domain
         # instead of once per core.
@@ -1027,7 +997,7 @@ class Simulator:
             dom_little.freq_khz,
             dom_big.freq_khz,
             power,
-            wakeups=self._wakeups_this_tick,
+            wakeups=wakeups,
             little_cpu_mw=little_cpu_mw,
             big_cpu_mw=big_cpu_mw,
         )

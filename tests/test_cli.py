@@ -99,6 +99,39 @@ class TestParser:
             build_parser().parse_args(["observe", "not-an-app"])
 
 
+class TestNumericOptionValidation:
+    """Out-of-range counts fail at parse time with argparse's usage error."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("work started before the options were validated")
+
+        monkeypatch.setattr("repro.core.study.run_app", refuse)
+        monkeypatch.setattr("repro.cli.build_app_sim", refuse)
+        monkeypatch.setattr("repro.runner.BatchRunner", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["batch", "--retries", "-1", "--no-cache"],
+        ["explore", "--retries", "-1", "--no-cache"],
+        ["timeline", "bbench", "--width", "0"],
+        ["profile", "bbench", "--top", "-1"],
+        ["profile", "bbench", "--top", "0"],
+    ], ids=["batch-retries", "explore-retries", "timeline-width",
+            "profile-top-negative", "profile-top-zero"])
+    def test_rejected_with_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be >=" in err
+
+    def test_zero_retries_parse(self):
+        for command in ("batch", "explore"):
+            args = build_parser().parse_args([command, "--retries", "0"])
+            assert args.retries == 0
+
+
 class TestCommands:
     def test_list_prints_artifacts(self, capsys):
         assert main(["list"]) == 0

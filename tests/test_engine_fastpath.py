@@ -65,6 +65,21 @@ def assert_traces_equal(ref, fast):
     assert ref.fastforward_ticks == 0  # reference path never fast-forwards
 
 
+def assert_engine_state_equal(ref, fast):
+    """The state the record and load phases write matches, bit for bit,
+    after the run: cores' idle and window counters, tasks' loads, work
+    and busy time, and the busy-core count that sets DRAM contention."""
+    assert ref._busy_cores_prev == fast._busy_cores_prev
+    for c_ref, c_fast in zip(ref.cores, fast.cores):
+        assert c_ref.idle_ticks == c_fast.idle_ticks
+        assert c_ref.busy_in_window_s == c_fast.busy_in_window_s
+    assert len(ref.tasks) == len(fast.tasks)
+    for t_ref, t_fast in zip(ref.tasks, fast.tasks):
+        assert t_ref.load.value == t_fast.load.value
+        assert t_ref.total_busy_s == t_fast.total_busy_s
+        assert t_ref.remaining_units == t_fast.remaining_units
+
+
 def standby_behavior(ctx):
     """A 1 Hz housekeeping timer: long idle spans between tiny bursts."""
     while True:
@@ -480,6 +495,7 @@ class TestMicrobenchmarkDifferential:
 
         ref, fast = run_pair(make_config, install)
         assert_traces_equal(ref, fast)
+        assert_engine_state_equal(ref, fast)
 
 
 class TestDeferredPower:

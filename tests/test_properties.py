@@ -169,7 +169,7 @@ class TestLoadTrackerProperties:
     def test_value_stays_in_range(self, samples, halflife):
         tracker = LoadTracker(halflife_ms=halflife)
         for s in samples:
-            v = tracker.update(s)
+            v = tracker.advance(s, 1)
             assert 0.0 <= v <= LOAD_SCALE
 
     @given(initial=st.floats(0, LOAD_SCALE), ticks=st.integers(0, 1000))
@@ -177,11 +177,62 @@ class TestLoadTrackerProperties:
         tracker = LoadTracker(initial=initial)
         assert tracker.decay(ticks) <= initial + 1e-9
 
+    @given(
+        initial=st.floats(0, LOAD_SCALE),
+        segments=st.lists(
+            st.tuples(st.floats(0, LOAD_SCALE), st.integers(0, 80)),
+            min_size=1, max_size=5,
+        ),
+        threshold=st.floats(0, LOAD_SCALE),
+        rising=st.booleans(),
+        halflife=st.floats(1.0, 128.0),
+    )
+    def test_first_crossing_matches_tick_by_tick_fold(
+        self, initial, segments, threshold, rising, halflife
+    ):
+        """The dry run, chained over constant-sample segments as the span
+        probe chains it, stops at the tick and on the value that folding
+        ``advance(s, 1)`` tick by tick and testing the threshold does,
+        and commits nothing."""
+
+        def crossed(v):
+            return v > threshold if rising else v < threshold
+
+        folded = LoadTracker(halflife_ms=halflife, initial=initial)
+        expected = None
+        offset = 0
+        for sample, ticks in segments:
+            for j in range(ticks):
+                v = folded.advance(sample, 1)
+                if crossed(v):
+                    expected = (offset + j, v)
+                    break
+            if expected is not None:
+                break
+            offset += ticks
+        if expected is None:
+            expected = (offset, folded.value)
+
+        tracker = LoadTracker(halflife_ms=halflife, initial=initial)
+        got = None
+        offset = 0
+        v = tracker.value
+        for sample, ticks in segments:
+            j, v = tracker.first_crossing(sample, ticks, threshold, rising, v)
+            if j < ticks:
+                got = (offset + j, v)
+                break
+            offset += ticks
+        if got is None:
+            got = (offset, v)
+        assert got == expected  # exact, no tolerance
+        assert tracker.value == initial
+
     @given(samples=st.lists(st.floats(0, LOAD_SCALE), min_size=1, max_size=100))
     def test_value_bounded_by_max_sample(self, samples):
         tracker = LoadTracker()
         for s in samples:
-            tracker.update(s)
+            tracker.advance(s, 1)
         assert tracker.value <= max(samples) + 1e-9
 
 

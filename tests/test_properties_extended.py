@@ -127,11 +127,11 @@ class TestLoadTrackerAlgebra:
         a = LoadTracker(halflife_ms=32)
         b = LoadTracker(halflife_ms=32)
         for s in samples:
-            a.update(s)
-            b.update(s)
+            a.advance(s, 1)
+            b.advance(s, 1)
         a.decay(gap)
         for _ in range(gap):
-            b.update(0.0)
-        a.update(512.0)
-        b.update(512.0)
+            b.advance(0.0, 1)
+        a.advance(512.0, 1)
+        b.advance(512.0, 1)
         assert math.isclose(a.value, b.value, rel_tol=1e-9, abs_tol=1e-9)

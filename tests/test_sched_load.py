@@ -21,16 +21,16 @@ class TestLoadTracker:
     def test_converges_to_constant_sample(self):
         tracker = LoadTracker(halflife_ms=32)
         for _ in range(500):
-            tracker.update(700.0)
+            tracker.advance(700.0, 1)
         assert tracker.value == pytest.approx(700.0, abs=0.5)
 
     def test_paper_weighting_32ms_ago_counts_half(self):
         """A 1ms load from 32ms ago is weighted 50% relative to now."""
         tracker = LoadTracker(halflife_ms=32)
-        tracker.update(LOAD_SCALE)
+        tracker.advance(LOAD_SCALE, 1)
         peak = tracker.value
         for _ in range(32):
-            tracker.update(0.0)
+            tracker.advance(0.0, 1)
         assert tracker.value == pytest.approx(peak * 0.5, rel=1e-6)
 
     def test_double_weight_decays_slower(self):
@@ -47,8 +47,8 @@ class TestLoadTracker:
         fast = LoadTracker(halflife_ms=16)
         slow = LoadTracker(halflife_ms=64)
         for _ in range(8):
-            fast.update(LOAD_SCALE)
-            slow.update(LOAD_SCALE)
+            fast.advance(LOAD_SCALE, 1)
+            slow.advance(LOAD_SCALE, 1)
         assert fast.value > slow.value
 
     def test_sleep_decay_matches_explicit_zero_samples(self):
@@ -57,7 +57,7 @@ class TestLoadTracker:
         b = LoadTracker(halflife_ms=32, initial=800.0)
         a.decay(50)
         for _ in range(50):
-            b.update(0.0)
+            b.advance(0.0, 1)
         assert a.value == pytest.approx(b.value)
 
     def test_duty_cycle_convergence(self):
@@ -66,16 +66,16 @@ class TestLoadTracker:
         tracker = LoadTracker(halflife_ms=32)
         for _ in range(300):  # 300 cycles of 3ms busy / 7ms sleep
             for _ in range(3):
-                tracker.update(LOAD_SCALE)
+                tracker.advance(LOAD_SCALE, 1)
             tracker.decay(7)
         assert tracker.value / LOAD_SCALE == pytest.approx(0.3, abs=0.12)
 
     def test_bounds_enforced(self):
         tracker = LoadTracker()
         with pytest.raises(ValueError):
-            tracker.update(-1.0)
+            tracker.advance(-1.0, 1)
         with pytest.raises(ValueError):
-            tracker.update(LOAD_SCALE + 1)
+            tracker.advance(LOAD_SCALE + 1, 1)
         with pytest.raises(ValueError):
             tracker.decay(-1)
         with pytest.raises(ValueError):
@@ -89,12 +89,12 @@ class TestLoadTracker:
     def test_value_never_exceeds_scale(self):
         tracker = LoadTracker()
         for _ in range(1000):
-            tracker.update(LOAD_SCALE)
+            tracker.advance(LOAD_SCALE, 1)
         assert tracker.value <= LOAD_SCALE
 
 
 class TestAdvance:
-    """``advance`` is the fast-forward twin of repeated ``update``."""
+    """``advance(s, n)`` is the fast-forward twin of ``n`` one-tick advances."""
 
     @pytest.mark.parametrize("sample", [0.0, 137.5, 700.0, float(LOAD_SCALE)])
     @pytest.mark.parametrize("ticks", [1, 33, 257])
@@ -102,7 +102,7 @@ class TestAdvance:
         a = LoadTracker(halflife_ms=32, initial=413.0)
         b = LoadTracker(halflife_ms=32, initial=413.0)
         for _ in range(ticks):
-            a.update(sample)
+            a.advance(sample, 1)
         b.advance(sample, ticks)
         assert a.value == b.value  # exact, no tolerance
 
@@ -122,14 +122,14 @@ class TestAdvance:
 
 class TestDecayDrift:
     """``decay(n)`` uses the closed-form power; bound its drift against
-    the iterative ``update(0)`` ladder it stands in for."""
+    the iterative ``advance(0, 1)`` ladder it stands in for."""
 
     @pytest.mark.parametrize("ticks", [1, 32, 1000, 60_000])
     def test_drift_within_float_noise(self, ticks):
         iterative = LoadTracker(halflife_ms=32, initial=1000.0)
         closed = LoadTracker(halflife_ms=32, initial=1000.0)
         for _ in range(ticks):
-            iterative.update(0.0)
+            iterative.advance(0.0, 1)
         closed.decay(ticks)
         # Each iterative step rounds once (~half an ulp), so the paths
         # diverge by at most ~ticks ulps relative — far below any
@@ -142,6 +142,6 @@ class TestDecayDrift:
     def test_single_tick_decay_is_exact(self):
         a = LoadTracker(halflife_ms=32, initial=777.0)
         b = LoadTracker(halflife_ms=32, initial=777.0)
-        a.update(0.0)
+        a.advance(0.0, 1)
         b.decay(1)
         assert a.value == b.value
