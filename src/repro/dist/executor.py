@@ -56,11 +56,7 @@ class DistExecutor(Executor):
     def submit(
         self, token: int, specs: Sequence[RunSpec], timeout_s: Optional[float]
     ) -> None:
-        single = len(specs) == 1
-
         def _on_done(payload, error, worker_died) -> None:
-            if payload is not None and single:
-                payload = payload[0]
             self._completions.put(
                 Completion(
                     token, payload=payload, error=error, worker_died=worker_died

@@ -2,12 +2,11 @@
 
 A worker dials the coordinator, introduces itself (id + package
 version), and then serves jobs until told ``bye`` or the connection
-drops: decode the wire specs, execute them — a whole cohort (one fold
-family) or a single spec — through the same job entry points, and so
-under the same ``SIGALRM`` budgets, as the local backends
-(:func:`repro.runner.executors._execute_cohort_job` and
-:func:`~repro.runner.executors._execute_job`), and ship the slim
-results back (scalars + RLE blobs).
+drops: decode the wire specs of one group — a whole cohort (one fold
+family) or a single spec, always a list — execute it through the same
+entry point, and so under the same ``SIGALRM`` budget, as the local
+backends (:func:`repro.runner.executors._execute_group`), and ship the
+slim results back (scalars + RLE blobs), one per spec.
 
 A worker is stateless: it keeps no cache and writes no catalog.  The
 submitting runner checks its own cache before it submits and stores
@@ -30,13 +29,8 @@ from typing import Optional
 
 import repro
 from repro.obs.logsetup import get_logger
-from repro.runner.executors import (
-    JobTimeout,
-    _execute_cohort_job,
-    _execute_job,
-    group_label,
-)
-from repro.runner.spec import RunSpec, spec_from_wire
+from repro.runner.executors import JobTimeout, _execute_group, group_label
+from repro.runner.spec import spec_from_wire
 from repro.dist.protocol import (
     ProtocolError,
     encode_results,
@@ -110,19 +104,13 @@ class DistWorker:
 
     # -- job execution ------------------------------------------------------
 
-    def _execute(self, specs: list[RunSpec], timeout_s: Optional[float]):
-        """Run one group: a cohort, or a single spec."""
-        if len(specs) > 1:
-            return _execute_cohort_job(specs, timeout_s)
-        return [_execute_job(specs[0], timeout_s)]
-
     def _serve_job(self, msg: dict) -> None:
         job_id = msg["job_id"]
         specs = [spec_from_wire(w) for w in msg["specs"]]
         timeout_s = msg.get("timeout_s")
         log.info("job %s: %s", job_id, group_label(specs))
         try:
-            metas, blob = encode_results(self._execute(specs, timeout_s))
+            metas, blob = encode_results(_execute_group(specs, timeout_s))
         except JobTimeout as exc:
             self._send({
                 "type": "error", "job_id": job_id,

@@ -31,7 +31,6 @@ from repro.runner.batch import (
     BatchRunner,
     JobRecord,
     JobTimeout,
-    run_specs,
 )
 from repro.runner.cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
 from repro.runner.events import EventSink, RunnerEvent
@@ -78,5 +77,4 @@ __all__ = [
     "register_chip",
     "resolve_chip",
     "resolve_kind",
-    "run_specs",
 ]

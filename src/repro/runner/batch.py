@@ -31,17 +31,20 @@ Fault tolerance (identical across backends):
   as ``failed``/``timeout`` in the :class:`BatchReport` — one bad job
   never aborts the batch.
 
-Cohorts (``cohorts=True``): specs that differ only in the two
-comparison-only governor axes — a fold family, see
-:mod:`repro.runner.sweepfold` — are grouped into one cohort, which runs
-witness-certified sweep folding (:mod:`repro.runner.cohort`); every
-other spec stays a group of its own.  A cohort is the unit an executor
-receives (one pool job / one distributed job per cohort), because
-splitting a fold family forfeits the folding that makes cohorts
-fast.  Results, ``BatchReport.jobs`` order
-and labels, and cache entries are identical to per-run execution; any
-cohort failure falls back to per-run execution of its members with
-their retry budgets intact.
+Groups: the runner hands an executor each piece of work as a
+``list[RunSpec]`` and gets one result per spec back, in order; a
+payload whose result keys differ from the group's spec keys fails the
+group with :class:`PayloadMismatch` and is never cached.  With
+``cohorts=True``, specs that differ only in the two comparison-only
+governor axes — a fold family, see :mod:`repro.runner.sweepfold` — form
+one group (a cohort), which runs witness-certified sweep folding
+(:mod:`repro.runner.cohort`); every other spec is a group of its own.
+A cohort is the unit an executor receives (one pool job / one
+distributed job per cohort), because splitting a fold family forfeits
+the folding that makes cohorts fast.  Results, ``BatchReport.jobs``
+order and labels, and cache entries are identical to per-run
+execution; any cohort failure falls back to per-run execution of its
+members with their retry budgets intact.
 """
 
 from __future__ import annotations
@@ -53,19 +56,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 from repro.obs.metrics import TRANSPORT_BUCKETS_BYTES, global_metrics
 from repro.runner.cache import ResultCache
+from repro.runner.cohort import group_indices
 from repro.runner.events import EventCallback, EventSink
-from repro.runner.executors import (  # noqa: F401  (re-exported: public API + test hooks)
-    Completion,
-    Executor,
-    JobTimeout,
-    PoolExecutor,
-    SerialExecutor,
-    _alarmed,
-    _execute_cohort_job,
-    _execute_job,
-    _worker_init,
-    make_executor,
-)
+from repro.runner.executors import Executor, JobTimeout, make_executor
 from repro.runner.spec import RunResult, RunSpec
 
 #: Job statuses recorded in a :class:`JobRecord`.
@@ -175,6 +168,33 @@ class _Job:
     duration_s: float = 0.0
 
 
+#: The event that reports each final job status.
+_OUTCOME_EVENTS = {
+    STATUS_CACHED: "cache_hit",
+    STATUS_OK: "job_done",
+    STATUS_FAILED: "job_failed",
+    STATUS_TIMEOUT: "job_failed",
+}
+
+
+class PayloadMismatch(Exception):
+    """An executor's payload does not hold one result per group spec."""
+
+
+def _payload_mismatch(
+    group: Sequence[_Job], payload: object
+) -> Optional[PayloadMismatch]:
+    """The error of a payload whose result keys are not the group's, in order."""
+    expected = [job.spec.key() for job in group]
+    got = (
+        [getattr(r, "spec_key", None) for r in payload]
+        if isinstance(payload, list) else payload
+    )
+    if got == expected:
+        return None
+    return PayloadMismatch(f"payload keys {got!r} for a group of keys {expected}")
+
+
 class BatchRunner:
     """Runs a list of :class:`RunSpec` and returns a :class:`BatchReport`.
 
@@ -242,7 +262,6 @@ class BatchRunner:
         results: list[Optional[RunResult]] = [None] * n
         records: list[Optional[JobRecord]] = [None] * n
         executor, owned = make_executor(self.executor, self.workers)
-        serial = isinstance(executor, SerialExecutor)
         self._transport_bytes = 0
         t0 = time.monotonic()
 
@@ -252,11 +271,7 @@ class BatchRunner:
                     "batch_start",
                     extra={
                         "n_jobs": n,
-                        "workers": (
-                            1 if serial
-                            else min(executor.parallelism(), max(1, n))
-                        ),
-                        "serial": serial,
+                        "workers": min(executor.parallelism(), max(1, n)),
                         "executor": type(executor).__name__,
                     },
                 )
@@ -267,14 +282,7 @@ class BatchRunner:
                     if cached is not None:
                         cache_hits += 1
                         results[i] = cached
-                        records[i] = JobRecord(
-                            index=i, spec_key=spec.key(), label=spec.label(),
-                            status=STATUS_CACHED, attempts=0, duration_s=0.0,
-                        )
-                        sink.emit(
-                            "cache_hit", index=i, spec_key=spec.key(),
-                            label=spec.label(), status=STATUS_CACHED,
-                        )
+                        self._record(_Job(i, spec), STATUS_CACHED, records, sink)
                     else:
                         pending.append(_Job(index=i, spec=spec))
 
@@ -286,7 +294,7 @@ class BatchRunner:
                 report = BatchReport(
                     results=results,
                     jobs=[r for r in records if r is not None],
-                    workers=1 if serial else executor.parallelism(),
+                    workers=executor.parallelism(),
                     wall_s=wall_s,
                     cache_hits=cache_hits,
                     cache_misses=len(pending),
@@ -306,14 +314,6 @@ class BatchRunner:
                 executor.close()
         return report
 
-    def run_one(self, spec: RunSpec) -> RunResult:
-        """Convenience: run a single spec, raising if it failed."""
-        report = self.run([spec])
-        report.raise_on_failure()
-        result = report.results[0]
-        assert result is not None
-        return result
-
     # -- cohort grouping ----------------------------------------------------
 
     def _group_pending(
@@ -326,10 +326,8 @@ class BatchRunner:
         each cohort, and records/results stay keyed by the original spec
         index either way.
         """
-        if not (self.cohorts and len(pending) > 1):
+        if not self.cohorts:
             return [[job] for job in pending]
-        from repro.runner.cohort import group_indices
-
         groups = [
             [pending[i] for i in member_indices]
             for member_indices in group_indices([job.spec for job in pending])
@@ -382,47 +380,26 @@ class BatchRunner:
         ).observe(payload)
         self._transport_bytes += payload
 
-    def _finish_ok(
+    def _record(
         self,
         job: _Job,
-        result: RunResult,
-        results: list[Optional[RunResult]],
+        status: str,
         records: list[Optional[JobRecord]],
         sink: EventSink,
-        transported: bool = False,
+        error: Optional[BaseException] = None,
     ) -> None:
-        if transported:
-            self._account_transport(result)
-        if self.cache is not None:
-            self.cache.store(job.spec, result)
-        results[job.index] = result
-        records[job.index] = JobRecord(
-            index=job.index, spec_key=job.spec.key(), label=job.spec.label(),
-            status=STATUS_OK, attempts=job.attempts, duration_s=job.duration_s,
-        )
-        sink.emit(
-            "job_done", index=job.index, spec_key=job.spec.key(),
-            label=job.spec.label(), status=STATUS_OK, attempt=job.attempts,
-            duration_s=round(job.duration_s, 4),
-        )
-
-    def _finish_failed(
-        self,
-        job: _Job,
-        exc: BaseException,
-        records: list[Optional[JobRecord]],
-        sink: EventSink,
-    ) -> None:
-        status = STATUS_TIMEOUT if isinstance(exc, JobTimeout) else STATUS_FAILED
-        records[job.index] = JobRecord(
+        """Write one job's outcome: its :class:`JobRecord`, then its event."""
+        record = JobRecord(
             index=job.index, spec_key=job.spec.key(), label=job.spec.label(),
             status=status, attempts=job.attempts, duration_s=job.duration_s,
-            error=repr(exc),
+            error=None if error is None else repr(error),
         )
+        records[job.index] = record
         sink.emit(
-            "job_failed", index=job.index, spec_key=job.spec.key(),
-            label=job.spec.label(), status=status, attempt=job.attempts,
-            duration_s=round(job.duration_s, 4), error=repr(exc),
+            _OUTCOME_EVENTS[status], index=record.index,
+            spec_key=record.spec_key, label=record.label, status=status,
+            attempt=record.attempts, duration_s=round(record.duration_s, 4),
+            error=record.error,
         )
 
     def _should_retry(self, job: _Job, exc: BaseException, sink: EventSink) -> bool:
@@ -433,27 +410,6 @@ class BatchRunner:
             )
             return True
         return False
-
-    def _finish_group_ok(
-        self,
-        group: Sequence[_Job],
-        payload,
-        results: list[Optional[RunResult]],
-        records: list[Optional[JobRecord]],
-        sink: EventSink,
-        transported: bool,
-    ) -> None:
-        """Record a successful group completion (cohort list or single result)."""
-        if len(group) > 1:
-            for job, result in zip(group, payload):
-                job.attempts += 1
-                self._finish_ok(
-                    job, result, results, records, sink, transported=transported
-                )
-        else:
-            self._finish_ok(
-                group[0], payload, results, records, sink, transported=transported
-            )
 
     # -- driver -------------------------------------------------------------
 
@@ -504,32 +460,29 @@ class BatchRunner:
                 elapsed = time.monotonic() - submit_t.pop(comp.token)
                 for job in group:
                     job.duration_s += elapsed
-                if comp.error is None:
-                    self._finish_group_ok(
-                        group, comp.payload, results, records, sink,
-                        transported=executor.transported,
-                    )
+                error = comp.error
+                if error is None:
+                    error = _payload_mismatch(group, comp.payload)
+                if error is None:
+                    for job, result in zip(group, comp.payload):
+                        if len(group) > 1:
+                            job.attempts += 1
+                        if executor.transported:
+                            self._account_transport(result)
+                        if self.cache is not None:
+                            self.cache.store(job.spec, result)
+                        results[job.index] = result
+                        self._record(job, STATUS_OK, records, sink)
                 elif len(group) > 1:
-                    resubmit.extend(self._cohort_fallback(group, comp.error, sink))
-                elif self._should_retry(group[0], comp.error, sink):
+                    resubmit.extend(self._cohort_fallback(group, error, sink))
+                elif self._should_retry(group[0], error, sink):
                     resubmit.append(group)
                 else:
-                    self._finish_failed(group[0], comp.error, records, sink)
+                    status = (
+                        STATUS_TIMEOUT if isinstance(error, JobTimeout)
+                        else STATUS_FAILED
+                    )
+                    self._record(group[0], status, records, sink, error)
             for group in resubmit:
                 _submit(group)
 
-
-def run_specs(
-    specs: Iterable[RunSpec],
-    workers: Optional[int] = None,
-    cache: Union[ResultCache, bool, None] = None,
-    **kwargs,
-) -> list[RunResult]:
-    """One-shot helper: run specs, raise on any failure, return results.
-
-    The workhorse of the rewired experiment sweeps — callers get results
-    in spec order and can zip them straight back onto their spec grid.
-    """
-    report = BatchRunner(workers=workers, cache=cache, **kwargs).run(specs)
-    report.raise_on_failure()
-    return [r for r in report.results if r is not None]

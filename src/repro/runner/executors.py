@@ -8,12 +8,13 @@ completions — so the same driver loop in
 through :class:`repro.dist.DistExecutor` without knowing it.
 
 A *group* is what the runner hands an executor in one ``submit`` call:
-either a single :class:`~repro.runner.spec.RunSpec` or a whole cohort
-(one fold family, see :mod:`repro.runner.cohort`).  Cohorts are the
-unit of distribution on purpose: splitting a fold family across
-executors forfeits the witness-certified sweep folding that makes
-cohorts fast, so an executor always receives — and a remote worker
-always executes — the whole group.
+a ``list[RunSpec]`` holding a single spec or a whole cohort (one fold
+family, see :mod:`repro.runner.cohort`).  Cohorts are the unit of
+distribution on purpose: splitting a fold family across executors
+forfeits the witness-certified sweep folding that makes cohorts fast,
+so an executor always receives — and a remote worker always executes —
+the whole group.  Executors never look inside a group: every backend
+runs it through the one entry point :func:`_execute_group`.
 
 Executor contract:
 
@@ -21,8 +22,8 @@ Executor contract:
 - ``poll()`` blocks until at least one :class:`Completion` is available
   and returns every completion ready at that moment (``[]`` only when
   nothing is outstanding);
-- a completion carries either ``payload`` (a :class:`RunResult` for a
-  single spec, a list for a cohort) or ``error``; ``worker_died`` marks
+- a completion carries either ``payload`` (a ``list[RunResult]``, one
+  per spec in submit order) or ``error``; ``worker_died`` marks
   failures where the executing process vanished rather than raised —
   the runner charges those one attempt and may resubmit, exactly like
   the historical ``BrokenProcessPool`` recovery;
@@ -30,9 +31,9 @@ Executor contract:
   boundary (drives transport accounting).
 
 The in-process alarm timeout machinery (:func:`_alarmed`,
-:class:`JobTimeout`) and the job entry points (:func:`_execute_job`,
-:func:`_execute_cohort_job`) live here so every backend — serial, pool
-worker, and remote TCP worker — enforces budgets identically.
+:class:`JobTimeout`) and the group entry point (:func:`_execute_group`)
+live here so every backend — serial, pool worker, and remote TCP
+worker — enforces budgets identically.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.runner.spec import RunResult, RunSpec, execute_spec
+from repro.runner.cohort import execute_cohort
+from repro.runner.spec import RunResult, RunSpec
 
 
 class JobTimeout(Exception):
@@ -76,10 +78,10 @@ ALARM_RETRY_S = 0.05
 def _alarmed(fn, timeout_s: Optional[float], label: str):
     """Run ``fn()`` under an optional in-process ``SIGALRM`` timeout.
 
-    Module-level machinery shared by single-spec and cohort jobs.  The
-    alarm is only armed in a main thread (workers always are); elsewhere
-    the job runs untimed rather than failing.  Once the budget expires
-    the timer re-fires every :data:`ALARM_RETRY_S` seconds, so a
+    Module-level machinery of :func:`_execute_group`.  The alarm is
+    only armed in a main thread (workers always are); elsewhere the job
+    runs untimed rather than failing.  Once the budget expires the timer
+    re-fires every :data:`ALARM_RETRY_S` seconds, so a
     :class:`JobTimeout` that never reaches the job is raised again.
 
     Handler hygiene: the previous ``SIGALRM`` disposition is restored
@@ -123,23 +125,16 @@ def group_label(specs: Sequence[RunSpec]) -> str:
     return f"cohort[{len(specs)}] {specs[0].label()}"
 
 
-def _execute_job(spec: RunSpec, timeout_s: Optional[float]) -> RunResult:
-    """Execute one spec with an optional in-process alarm timeout."""
-    return _alarmed(lambda: execute_spec(spec), timeout_s, spec.label())
-
-
-def _execute_cohort_job(
-    specs: list[RunSpec], timeout_s: Optional[float]
+def _execute_group(
+    specs: Sequence[RunSpec], timeout_s: Optional[float]
 ) -> list[RunResult]:
-    """Execute one cohort (fold family), budgeted at ``timeout_s`` per member.
+    """Execute one group, budgeted at ``timeout_s`` per member.
 
-    The cohort does the work of ``len(specs)`` jobs in one process, so
-    its wall-clock budget scales with its size; on timeout (or any
-    other failure) the caller falls back to per-run execution, where
-    each member gets its own ordinary budget.
+    A group does the work of ``len(specs)`` jobs in one process, so its
+    wall-clock budget scales with its size; when a cohort times out (or
+    fails any other way) the runner falls back to per-run execution,
+    where each member gets its own ordinary budget.
     """
-    from repro.runner.cohort import execute_cohort
-
     budget = timeout_s * len(specs) if timeout_s else timeout_s
     return _alarmed(lambda: execute_cohort(specs), budget, group_label(specs))
 
@@ -149,9 +144,9 @@ class Completion:
     """One finished work group, as reported by an executor's ``poll``."""
 
     token: int
-    #: ``RunResult`` for a single-spec group, ``list[RunResult]`` for a
-    #: cohort; ``None`` when ``error`` is set.
-    payload: object = None
+    #: One ``RunResult`` per spec of the group, in submit order; ``None``
+    #: when ``error`` is set.
+    payload: Optional[list[RunResult]] = None
     error: Optional[BaseException] = None
     #: The executing process/worker vanished (crash, kill, lost
     #: connection) rather than raising — ``error`` then describes the
@@ -218,10 +213,7 @@ class SerialExecutor(Executor):
             return []
         token, specs, timeout_s = self._queue.popleft()
         try:
-            if len(specs) > 1:
-                payload: object = _execute_cohort_job(specs, timeout_s)
-            else:
-                payload = _execute_job(specs[0], timeout_s)
+            payload = _execute_group(specs, timeout_s)
         except Exception as exc:
             return [Completion(token, error=exc)]
         return [Completion(token, payload=payload)]
@@ -268,10 +260,7 @@ class PoolExecutor(Executor):
             )
         while self._staged:
             token, specs, timeout_s = self._staged.popleft()
-            if len(specs) > 1:
-                fut = self._pool.submit(_execute_cohort_job, specs, timeout_s)
-            else:
-                fut = self._pool.submit(_execute_job, specs[0], timeout_s)
+            fut = self._pool.submit(_execute_group, specs, timeout_s)
             self._futures[fut] = token
 
     def poll(self) -> list[Completion]:

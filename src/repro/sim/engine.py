@@ -97,6 +97,7 @@ from repro.sched.governor import (
     ClusterFreqDomain,
     Governor,
     InteractiveGovernor,
+    _accrued,
 )
 from repro.sched.hmp import HMPScheduler
 from repro.sched.load import LoadTracker, load_sample
@@ -623,12 +624,10 @@ class Simulator:
             return 0, None
         # Each busy core accrues the same busy seconds every tick: the
         # water-filling fold of one share per queued task.
-        busy_by_core: dict[int, float] = {}
-        for core, n_rq, share in core_plans:
-            b = 0.0
-            for _ in range(n_rq):
-                b += share
-            busy_by_core[core.core_id] = b
+        busy_by_core = {
+            core.core_id: _accrued(0.0, share, n_rq)
+            for core, n_rq, share in core_plans
+        }
         changes = {CoreType.LITTLE: [], CoreType.BIG: []}
         for governor, domain in self._governed:
             span_changes = governor.tick_span(

@@ -7,16 +7,21 @@ serial and process-pool backends and backend resolution in
 covers the TCP side).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.runner.batch import BatchRunner
+from repro.runner.cache import ResultCache
+from repro.runner.cohort import execute_cohort
 from repro.runner.executors import (
     Executor,
     PoolExecutor,
     SerialExecutor,
     make_executor,
 )
-from repro.runner.spec import RunResult, RunSpec
+from repro.runner.spec import RunResult, RunSpec, execute_spec
+from repro.sched.params import baseline_config
 
 OK_KIND = f"{__name__}:_ok_kind"
 RAISE_KIND = f"{__name__}:_always_raise_kind"
@@ -38,10 +43,22 @@ def _spec(seed: int) -> RunSpec:
 
 
 def _real_spec(seed: int) -> RunSpec:
-    # Cohort groups go through execute_cohort, which builds real apps —
-    # dotted-path fault kinds don't apply there.
+    # Two of these differ only in seed, so they are a cohort group but
+    # no fold family: execute_cohort runs each through execute_spec.
     return RunSpec(
         "pdf-reader", seed=seed, max_seconds=0.5, trace_policy="none",
+    )
+
+
+def _family_spec(hold_ms: int) -> RunSpec:
+    # Members differ only in the governor's hold time: one fold family.
+    base = baseline_config()
+    return RunSpec(
+        "pdf-reader", seed=7, max_seconds=0.5, trace_policy="none",
+        scheduler=replace(
+            base, name=f"gov-hold-{hold_ms}",
+            governor=replace(base.governor, hold_ms=hold_ms),
+        ),
     )
 
 
@@ -72,7 +89,7 @@ def test_serial_executor_fifo_and_untransported():
         assert [c.token for c in second] == [2]
         assert ex.outstanding() == 0
         assert ex.poll() == []
-        result = second[0].payload
+        (result,) = second[0].payload
         assert isinstance(result, RunResult) and result.avg_fps == 60.0
 
 
@@ -109,7 +126,7 @@ def test_pool_executor_runs_groups():
         ex.submit(2, [_real_spec(2), _real_spec(3)], None)
         completions = {c.token: c for c in _drain(ex, 2)}
         assert completions[1].error is None
-        assert completions[1].payload.spec_key == _spec(1).key()
+        assert [r.spec_key for r in completions[1].payload] == [_spec(1).key()]
         assert [r.spec_key for r in completions[2].payload] == [
             _real_spec(2).key(), _real_spec(3).key(),
         ]
@@ -153,3 +170,89 @@ def test_runner_accepts_executor_instance_and_does_not_close_it():
     # one coordinator for global dedup.
     report2 = BatchRunner(cache=None, executor=shared).run([_spec(3)])
     assert report2.succeeded()
+
+
+# ---------------------------------------------------------------------------
+# One group shape: every group is a spec list, returned as a result list
+# ---------------------------------------------------------------------------
+
+
+def test_execute_cohort_runs_custom_kinds():
+    specs = [RunSpec("w", kind=OK_KIND, seed=1), RunSpec("w", kind=OK_KIND, seed=2)]
+    got = execute_cohort(specs)
+    assert [r.scalars() for r in got] == [execute_spec(s).scalars() for s in specs]
+
+
+def _outcomes(report):
+    return (
+        [r.scalars() for r in report.results],
+        [(j.index, j.spec_key, j.label, j.status, j.attempts, j.error)
+         for j in report.jobs],
+    )
+
+
+def test_mixed_batch_identical_across_backends_and_cohort_modes():
+    specs = [
+        _spec(1), _real_spec(1), _family_spec(60), _spec(2),
+        _family_spec(70), _real_spec(2),
+    ]
+    reference = None
+    for executor, workers in (("serial", 1), ("pool", 2)):
+        for cohorts in (True, False):
+            report = BatchRunner(
+                workers=workers, cache=None, executor=executor, cohorts=cohorts,
+            ).run(specs)
+            assert report.succeeded(), (executor, cohorts)
+            outcomes = _outcomes(report)
+            if reference is None:
+                reference = outcomes
+            assert outcomes == reference, (executor, cohorts)
+    assert reference[0] == [execute_spec(s).scalars() for s in specs]
+
+
+class _CutPayloads(SerialExecutor):
+    """A serial backend whose payloads keep only their first ``keep`` results."""
+
+    def __init__(self, keep: int) -> None:
+        super().__init__()
+        self.keep = keep
+
+    def poll(self):
+        completions = super().poll()
+        for comp in completions:
+            if comp.payload is not None:
+                comp.payload = comp.payload[: self.keep]
+        return completions
+
+
+def test_short_cohort_payload_falls_back_per_run(tmp_path):
+    specs = [_family_spec(60), _family_spec(70)]
+    cache = ResultCache(root=str(tmp_path))
+    seen = []
+    report = BatchRunner(
+        cache=cache, cohorts=True, executor=_CutPayloads(keep=1),
+        on_event=seen.append,
+    ).run(specs)
+    assert report.succeeded()
+    assert report.n_jobs == 2
+    assert [r.scalars() for r in report.results] == [
+        execute_spec(s).scalars() for s in specs
+    ]
+    (fallback,) = [e for e in seen if e.event == "cohort_fallback"]
+    assert "PayloadMismatch" in fallback.extra["error"]
+    assert [cache.load(s).scalars() for s in specs] == [
+        r.scalars() for r in report.results
+    ]
+
+
+def test_mismatched_payload_fails_the_job_and_is_never_cached(tmp_path):
+    specs = [_spec(1), _spec(2)]
+    cache = ResultCache(root=str(tmp_path))
+    report = BatchRunner(
+        cache=cache, retries=1, executor=_CutPayloads(keep=0),
+    ).run(specs)
+    assert report.failed_count == 2
+    assert [j.attempts for j in report.jobs] == [2, 2]
+    assert all("PayloadMismatch" in j.error for j in report.jobs)
+    assert report.results == [None, None]
+    assert [cache.load(s) for s in specs] == [None, None]

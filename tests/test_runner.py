@@ -22,7 +22,6 @@ from repro.runner import (
     RunSpec,
     execute_spec,
     resolve_kind,
-    run_specs,
 )
 from repro.runner.spec import spec_from_wire, spec_to_wire
 from repro.sched.params import baseline_config, variant_configs
@@ -156,11 +155,6 @@ class TestSerialParallelIdentity:
         report = BatchRunner(workers=8, executor="serial").run(SMALL_SPECS[:1])
         assert report.workers == 1
         assert report.succeeded()
-
-    def test_run_specs_helper(self):
-        results = run_specs(SMALL_SPECS[:1], workers=1)
-        assert len(results) == 1
-        assert results[0].metric == "fps"
 
 
 class TestCache:
@@ -319,10 +313,10 @@ class TestFaultTolerance:
         assert report.jobs[1].status == "ok"
 
     def test_timeout_exception_type(self):
-        from repro.runner.batch import _execute_job
+        from repro.runner.executors import _execute_group
 
         with pytest.raises(JobTimeout):
-            _execute_job(RunSpec("slow", kind=SLEEPY_KIND), timeout_s=0.1)
+            _execute_group([RunSpec("slow", kind=SLEEPY_KIND)], timeout_s=0.1)[0]
 
 
 class TestObservability:
@@ -373,6 +367,6 @@ class TestValidation:
 
     def test_run_one_raises_on_failure(self):
         with pytest.raises(RuntimeError):
-            BatchRunner(workers=1, retries=0).run_one(
-                RunSpec("poison", kind=RAISE_KIND)
-            )
+            BatchRunner(workers=1, retries=0).run(
+                [RunSpec("poison", kind=RAISE_KIND)]
+            ).raise_on_failure()

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import global_metrics, reset_global_metrics
-from repro.runner.batch import BatchRunner, JobTimeout, _execute_job
+from repro.runner.batch import BatchRunner, JobTimeout
 from repro.runner.cache import ResultCache
-from repro.runner.executors import _alarmed
+from repro.runner.executors import _alarmed, _execute_group
 from repro.runner.spec import RunSpec, execute_spec, finalize_result, resolve_kind
 from repro.sim.traceio import LazyTrace
 
@@ -183,7 +183,7 @@ def assert_alarm_state_clean(sentinel) -> None:
 
 @requires_sigalrm
 def test_alarm_restored_after_success(sentinel_handler):
-    result = _execute_job(spec_for("none"), timeout_s=60.0)
+    result = _execute_group([spec_for("none")], timeout_s=60.0)[0]
     assert result.reductions
     assert_alarm_state_clean(sentinel_handler)
 
@@ -195,14 +195,14 @@ def test_alarm_restored_after_job_exception(sentinel_handler):
         reductions=("no-such-reduction",), trace_policy="none",
     )
     with pytest.raises(KeyError):
-        _execute_job(bad, timeout_s=60.0)
+        _execute_group([bad], timeout_s=60.0)[0]
     assert_alarm_state_clean(sentinel_handler)
 
 
 @requires_sigalrm
 def test_alarm_restored_after_timeout(sentinel_handler):
     with pytest.raises(JobTimeout):
-        _execute_job(spec_for("rle", max_seconds=60.0), timeout_s=0.05)
+        _execute_group([spec_for("rle", max_seconds=60.0)], timeout_s=0.05)[0]
     assert_alarm_state_clean(sentinel_handler)
 
 
@@ -237,5 +237,5 @@ def test_swallowed_timeout_is_raised_again(sentinel_handler):
 
 @requires_sigalrm
 def test_no_alarm_armed_without_timeout(sentinel_handler):
-    _execute_job(spec_for("none"), timeout_s=None)
+    _execute_group([spec_for("none")], timeout_s=None)[0]
     assert_alarm_state_clean(sentinel_handler)
